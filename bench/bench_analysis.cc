@@ -88,7 +88,7 @@ void BM_SummaryDiff(benchmark::State& state, const char* query_id) {
 /// Happens-before schedule replay cost on a real trace: execute the
 /// expanded plan once under the dataflow scheduler (dop 4) with profiling
 /// on, then measure AnalyzeSchedule over the captured events. Shape
-/// expectation: O(events * avg-indegree) — one pass over the sorted trace,
+/// expectation: O(events * avg-indegree) — index the trace, one pass over it,
 /// each start joining its producers' vector clocks (the events and
 /// avg_indegree counters make the bound checkable across Args).
 void BM_HbReplay(benchmark::State& state, const char* query_id) {
@@ -109,7 +109,7 @@ void BM_HbReplay(benchmark::State& state, const char* query_id) {
   std::vector<profiler::TraceEvent> trace = ring->Snapshot();
   analysis::ScheduleReport report;
   for (auto _ : state) {
-    report = analysis::AnalyzeSchedule(plan, trace);
+    report = analysis::AnalyzeSchedule(plan, profiler::TraceIndex(trace));
     benchmark::DoNotOptimize(report);
   }
   state.counters["events"] = static_cast<double>(trace.size());

@@ -40,7 +40,8 @@ void BM_QueryAtDop(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(outcome);
   }
-  auto report = scope::AnalyzeThreadUtilization(ring->Snapshot());
+  const std::vector<profiler::TraceEvent> trace = ring->Snapshot();
+  auto report = scope::AnalyzeThreadUtilization(profiler::TraceIndex(trace));
   state.counters["dop"] = dop;
   state.counters["threads_used"] = static_cast<double>(report.threads.size());
   state.counters["max_concurrency"] =
@@ -73,7 +74,8 @@ void BM_SequentialAnomaly(benchmark::State& state) {
       return;
     }
   }
-  auto diag = scope::DiagnoseParallelism(ring->Snapshot(), 4);
+  const std::vector<profiler::TraceEvent> trace = ring->Snapshot();
+  auto diag = scope::DiagnoseParallelism(profiler::TraceIndex(trace), 4);
   state.counters["anomaly_flagged"] = diag.sequential_anomaly ? 1 : 0;
   state.counters["max_concurrency"] =
       static_cast<double>(diag.max_concurrency);
@@ -121,7 +123,7 @@ BENCHMARK(BM_IndependentWorkSpeedup)
 void BM_UtilizationAnalysis(benchmark::State& state) {
   auto events = bench::SyntheticTrace(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    auto report = scope::AnalyzeThreadUtilization(events);
+    auto report = scope::AnalyzeThreadUtilization(profiler::TraceIndex(events));
     benchmark::DoNotOptimize(report);
   }
   state.SetItemsProcessed(state.iterations() *
@@ -145,7 +147,8 @@ int main(int argc, char** argv) {
     server->profiler()->AddSink(ring);
     auto outcome = server->ExecuteSql(sql);
     if (!outcome.ok()) continue;
-    auto report = scope::AnalyzeThreadUtilization(ring->Snapshot());
+    const std::vector<profiler::TraceEvent> trace = ring->Snapshot();
+    auto report = scope::AnalyzeThreadUtilization(profiler::TraceIndex(trace));
     std::printf("dop=%d wall=%lldus threads=%zu peak_conc=%zu avg_conc=%.2f\n",
                 dop, static_cast<long long>(report.wall_us),
                 report.threads.size(), report.max_concurrency,

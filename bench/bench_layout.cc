@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "engine/worker_pool.h"
 #include "layout/layout_cache.h"
 #include "layout/sugiyama.h"
 #include "viz/raster.h"
@@ -116,29 +115,12 @@ BENCHMARK(BM_LayoutWarmCache)->Arg(500)->Arg(2000);
 
 void BM_LayoutSequential(benchmark::State& state) {
   dot::Graph graph = DagWithNodes(static_cast<int>(state.range(0)));
-  layout::LayoutOptions options;
-  options.parallel_min_nodes = 1 << 30;  // never parallelize
   for (auto _ : state) {
-    auto layout = layout::LayoutGraph(graph, options);
+    auto layout = layout::LayoutGraph(graph);
     benchmark::DoNotOptimize(layout);
   }
 }
 BENCHMARK(BM_LayoutSequential)->Arg(2000);
-
-void BM_LayoutParallel(benchmark::State& state) {
-  dot::Graph graph = DagWithNodes(static_cast<int>(state.range(0)));
-  engine::WorkerPool* pool = engine::WorkerPool::Default();
-  pool->EnsureWorkers(static_cast<int>(state.range(1)));
-  layout::LayoutOptions options;
-  options.pool = pool;
-  options.parallel_min_nodes = 1;
-  for (auto _ : state) {
-    auto layout = layout::LayoutGraph(graph, options);
-    benchmark::DoNotOptimize(layout);
-  }
-  state.counters["workers"] = static_cast<double>(state.range(1));
-}
-BENCHMARK(BM_LayoutParallel)->Args({2000, 2})->Args({2000, 4});
 
 /// Scene with n glyphs; returns the frame renderer + scene for delta work.
 struct RasterSetup {

@@ -113,10 +113,9 @@ int main(int argc, char** argv) {
   }
 
   // Thread utilization + operator memory.
-  std::printf("\n%s", scope::AnalyzeThreadUtilization(events.value())
-                          .ToString()
-                          .c_str());
-  auto ops = scope::AnalyzeOperators(events.value());
+  const profiler::TraceIndex index(events.value());
+  std::printf("\n%s", scope::AnalyzeThreadUtilization(index).ToString().c_str());
+  auto ops = scope::AnalyzeOperators(index);
   std::printf("\nper-operator profile (top 8 by total time):\n");
   for (size_t i = 0; i < ops.size() && i < 8; ++i) {
     std::printf("  %-22s calls=%-5lld total=%-8lldus peak_rss=%lldB\n",

@@ -76,9 +76,10 @@ int main() {
               replayer.value()->TooltipFor(scope::NodeForPc(4)).c_str());
 
   // 6. Run-time analyses.
+  const profiler::TraceIndex index(events);
   std::printf("\n== thread utilization ==\n%s",
-              scope::AnalyzeThreadUtilization(events).ToString().c_str());
-  auto ops = scope::AnalyzeOperators(events);
+              scope::AnalyzeThreadUtilization(index).ToString().c_str());
+  auto ops = scope::AnalyzeOperators(index);
   std::printf("\n== top operators ==\n");
   for (size_t i = 0; i < ops.size() && i < 5; ++i) {
     std::printf("  %-22s calls=%-4lld total=%lldus max_rss=%lldB\n",

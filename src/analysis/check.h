@@ -10,8 +10,11 @@
 #include "obs/profile_store.h"
 #include "obs/span.h"
 #include "profiler/event.h"
+#include "profiler/trace_index.h"
 
 namespace stetho::analysis {
+
+struct ScheduleReport;
 
 /// Everything a check may inspect. All pointers are optional and borrowed;
 /// checks declare what they need via Check::needs() and the Runner skips a
@@ -22,6 +25,13 @@ struct CheckContext {
   const mal::Program* program = nullptr;
   const dot::Graph* graph = nullptr;
   const std::vector<profiler::TraceEvent>* trace = nullptr;
+  /// Derived from `trace` (and `program`) once per run and shared by every
+  /// trace check: the emission-order index and the happens-before replay.
+  /// Runner::Run fills whichever the caller left null, so both are set
+  /// whenever `trace` is (the schedule only with a program too); a caller
+  /// invoking Check::Run directly must do the same.
+  const profiler::TraceIndex* trace_index = nullptr;
+  const ScheduleReport* schedule = nullptr;
   const engine::ModuleRegistry* registry = nullptr;
   /// Platform spans (obs tracer snapshot or a parsed Chrome trace export);
   /// lets checks cross-validate the profiler's event stream against the

@@ -75,17 +75,6 @@ std::vector<int> ConsumerCounts(const Program& p) {
   return consumers;
 }
 
-/// Trace events of one plan, sorted back into emission order (UDP transport
-/// may reorder datagrams).
-std::vector<TraceEvent> SortedByEventId(const std::vector<TraceEvent>& events) {
-  std::vector<TraceEvent> sorted = events;
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.event < b.event;
-                   });
-  return sorted;
-}
-
 // ---------------------------------------------------------------------------
 // ssa-def-before-use
 // ---------------------------------------------------------------------------
@@ -338,8 +327,7 @@ class BatLifetimeCheck final : public Check {
     // check used to carry — consumers starting before their producer's
     // done event — re-reported what the happens-before replay proves
     // properly; trace-dependency-violation (checks_hb.cc) is the single
-    // source of truth for that now, and the baseline loader aliases old
-    // bat-lifetime fingerprints onto it so recorded baselines stay valid.
+    // source of truth for that now.
     for (const Instruction& ins : p.instructions()) {
       const KernelSignature* sig =
           LookupKernelSignature(ins.module, ins.function);
@@ -528,20 +516,13 @@ class TraceConformanceCheck final : public Check {
 
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     Emitter emit(id(), out);
-    std::vector<TraceEvent> events = SortedByEventId(*ctx.trace);
+    const profiler::TraceIndex& index = *ctx.trace_index;
 
-    struct PcInfo {
-      int starts = 0;
-      int dones = 0;
-      bool done_before_start = false;
-      bool stmt_mismatch = false;
-      std::string stmt;
-    };
-    std::map<int, PcInfo> per_pc;
-
+    std::set<int> stmt_mismatch;  // pcs already reported
     int64_t prev_time = 0;
     bool reported_clock = false;
-    for (const TraceEvent& e : events) {
+    for (size_t i = 0; i < index.size(); ++i) {
+      const TraceEvent& e = index.at(i);
       if (e.time_us < prev_time && !reported_clock) {
         emit.Emit(Severity::kError, e.pc, -1,
                   StrFormat("event %lld timestamp runs backwards (%lld us "
@@ -576,27 +557,18 @@ class TraceConformanceCheck final : public Check {
                             "has no node \"n%d\"",
                             static_cast<long long>(e.event), e.pc, e.pc));
       }
-
-      PcInfo& info = per_pc[e.pc];
-      if (e.state == EventState::kStart) {
-        ++info.starts;
-        info.stmt = e.stmt;
-      } else {
-        if (info.starts == 0) info.done_before_start = true;
-        ++info.dones;
-        if (e.usec < 0) {
-          emit.Emit(Severity::kError, e.pc, -1,
-                    StrFormat("done event %lld reports negative duration "
-                              "%lld us",
-                              static_cast<long long>(e.event),
-                              static_cast<long long>(e.usec)));
-        }
+      if (e.state == EventState::kDone && e.usec < 0) {
+        emit.Emit(Severity::kError, e.pc, -1,
+                  StrFormat("done event %lld reports negative duration "
+                            "%lld us",
+                            static_cast<long long>(e.event),
+                            static_cast<long long>(e.usec)));
       }
-      if (ctx.program != nullptr && !info.stmt_mismatch) {
+      if (ctx.program != nullptr && stmt_mismatch.count(e.pc) == 0) {
         std::string stmt = ctx.program->InstructionToString(
             ctx.program->instruction(e.pc));
         if (e.stmt != stmt) {
-          info.stmt_mismatch = true;
+          stmt_mismatch.insert(e.pc);
           emit.Emit(Severity::kError, e.pc, -1,
                     StrFormat("statement text diverges from the plan: trace "
                               "says \"%s\", plan says \"%s\"",
@@ -607,28 +579,32 @@ class TraceConformanceCheck final : public Check {
       }
     }
 
-    for (const auto& [pc, info] : per_pc) {
-      if (info.starts == info.dones && info.starts == 1 &&
-          !info.done_before_start) {
+    for (const auto& [pc, rec] : index.pcs()) {
+      if (ctx.program != nullptr &&
+          static_cast<size_t>(pc) >= ctx.program->size()) {
+        break;  // reported per event above
+      }
+      if (rec.starts == rec.dones && rec.starts == 1 &&
+          !rec.done_before_start) {
         continue;
       }
-      if (info.done_before_start) {
+      if (rec.done_before_start) {
         emit.Emit(Severity::kError, pc, -1,
                   "done event precedes its start event");
       }
-      if (info.starts != info.dones) {
+      if (rec.starts != rec.dones) {
         emit.Emit(Severity::kError, pc, -1,
                   StrFormat("unpaired events: %d start vs %d done — every "
                             "executed instruction emits exactly one of each",
-                            info.starts, info.dones),
-                  info.dones < info.starts
+                            rec.starts, rec.dones),
+                  rec.dones < rec.starts
                       ? "the query may have aborted mid-instruction"
                       : "duplicate done events suggest a double release");
-      } else if (info.starts > 1) {
+      } else if (rec.starts > 1) {
         emit.Emit(Severity::kError, pc, -1,
                   StrFormat("pc executed %d times — the contract is one "
                             "start/done pair per instruction",
-                            info.starts));
+                            rec.starts));
       }
     }
   }
@@ -656,29 +632,6 @@ class TraceSpanConformanceCheck final : public Check {
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     Emitter emit(id(), out);
 
-    // Executed instructions according to the profiler: pcs with a done
-    // event, keyed to the thread that ran them. (Unpaired events are
-    // trace-conformance's findings, not duplicated here.)
-    struct PcTrace {
-      int dones = 0;
-      int thread = 0;
-    };
-    std::map<int, PcTrace> executed;
-    // First start event per pc: the thread contract stamps start and done
-    // with the same query-local admission slot, even when work stealing
-    // moves the instruction between pool workers.
-    std::map<int, int> start_thread;
-    for (const TraceEvent& e : *ctx.trace) {
-      if (e.pc < 0) continue;
-      if (e.state != EventState::kDone) {
-        start_thread.emplace(e.pc, e.thread);
-        continue;
-      }
-      PcTrace& t = executed[e.pc];
-      ++t.dones;
-      t.thread = e.thread;
-    }
-
     struct PcSpans {
       int count = 0;
       int tid = 0;
@@ -698,41 +651,49 @@ class TraceSpanConformanceCheck final : public Check {
       s.tid = span.tid;
     }
 
-    for (const auto& [pc, traced] : executed) {
-      auto started = start_thread.find(pc);
-      if (started != start_thread.end() && started->second != traced.thread) {
+    // Executed instructions according to the profiler: pcs with a done
+    // event, keyed to the slot that ran them. (Unpaired events are
+    // trace-conformance's findings, not duplicated here.)
+    const profiler::TraceIndex& index = *ctx.trace_index;
+    for (const auto& [pc, rec] : index.pcs()) {
+      if (rec.dones == 0) continue;
+      // The thread contract stamps start and done with the same query-local
+      // admission slot, even when work stealing moves the instruction
+      // between pool workers.
+      if (rec.start.seen() && rec.start.slot != rec.done.slot) {
         emit.Emit(Severity::kError, pc, -1,
                   StrFormat("start and done events disagree on the thread id "
                             "(%d vs %d) — both must carry the query-local "
                             "admission slot",
-                            started->second, traced.thread),
+                            rec.start.slot, rec.done.slot),
                   "the emitter must stamp the pair with one slot even when "
                   "a stolen task runs on another pool worker");
       }
       auto it = kernel_spans.find(pc);
       int spans = it == kernel_spans.end() ? 0 : it->second.count;
-      if (spans != traced.dones) {
+      if (spans != rec.dones) {
         emit.Emit(Severity::kError, pc, -1,
                   StrFormat("profiler saw %d execution(s) but the platform "
                             "trace has %d kernel span(s)",
-                            traced.dones, spans),
-                  spans < traced.dones
+                            rec.dones, spans),
+                  spans < rec.dones
                       ? "the span ring may have overflowed (Tracer::dropped())"
                       : "trace and spans come from different runs");
         continue;
       }
-      if (it != kernel_spans.end() && it->second.tid != traced.thread) {
+      if (it != kernel_spans.end() && it->second.tid != rec.done.slot) {
         emit.Emit(Severity::kError, pc, -1,
                   StrFormat("thread id diverges: profiler event says %d, "
                             "kernel span says %d — the span tracer must "
                             "preserve the trace thread contract",
-                            traced.thread, it->second.tid));
+                            rec.done.slot, it->second.tid));
       }
     }
     // Spans with no profiler pair: the profiler filter may legitimately have
     // suppressed those events, so this direction is only a warning.
     for (const auto& [pc, spans] : kernel_spans) {
-      if (executed.find(pc) == executed.end()) {
+      const profiler::PcRecord* rec = index.Find(pc);
+      if (rec == nullptr || rec->dones == 0) {
         emit.Emit(Severity::kWarning, pc, -1,
                   StrFormat("%d kernel span(s) have no profiler start/done "
                             "pair",

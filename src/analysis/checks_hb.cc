@@ -40,7 +40,7 @@ class TraceDependencyViolationCheck final : public Check {
 
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     Emitter emit(id(), out);
-    ScheduleReport report = AnalyzeSchedule(*ctx.program, *ctx.trace);
+    const ScheduleReport& report = *ctx.schedule;
     for (const DependencyViolation& v : report.violations) {
       emit.Emit(Severity::kError, v.pc, -1,
                 v.producer_done_missing
@@ -87,7 +87,7 @@ class TraceWriteRaceCheck final : public Check {
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     const Program& p = *ctx.program;
     Emitter emit(id(), out);
-    ScheduleReport report = AnalyzeSchedule(p, *ctx.trace);
+    const ScheduleReport& report = *ctx.schedule;
 
     // Access sets per BAT variable: the defining instruction writes, every
     // argument reference reads. (SSA means one writer per variable in a
@@ -224,18 +224,15 @@ class TraceClockMonotonicityCheck final : public Check {
 
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     Emitter emit(id(), out);
-    std::vector<TraceEvent> events = *ctx.trace;
-    std::stable_sort(events.begin(), events.end(),
-                     [](const TraceEvent& a, const TraceEvent& b) {
-                       return a.event < b.event;
-                     });
+    const profiler::TraceIndex& index = *ctx.trace_index;
     struct Last {
       int64_t time_us = 0;
       int64_t event = -1;
       bool reported = false;
     };
     std::map<int, Last> per_thread;
-    for (const TraceEvent& e : events) {
+    for (size_t i = 0; i < index.size(); ++i) {
+      const TraceEvent& e = index.at(i);
       Last& last = per_thread[e.thread];
       if (last.event >= 0 && e.time_us < last.time_us && !last.reported) {
         emit.Emit(Severity::kError, e.pc, -1,
@@ -270,7 +267,7 @@ class ScheduleSerializationCheck final : public Check {
 
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     Emitter emit(id(), out);
-    ScheduleReport report = AnalyzeSchedule(*ctx.program, *ctx.trace);
+    const ScheduleReport& report = *ctx.schedule;
     if (report.plan_width < 2) return;            // nothing to parallelize
     if (report.completed_executions < 2) return;  // too little evidence
     // A single admission slot in the trace means dop=1 was configured —

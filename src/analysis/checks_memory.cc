@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "analysis/checks.h"
@@ -194,7 +195,7 @@ class LiveRangeBloatCheck final : public Check {
 /// to the recorded peak measures pure byte-model calibration with no
 /// schedule conservatism mixed in.
 int64_t ScheduleMatchedPeak(const Program& p, const MemoryReport& report,
-                            const std::vector<TraceEvent>& trace) {
+                            const profiler::TraceIndex& trace) {
   const size_t nvars = p.num_variables();
   std::vector<int64_t> var_bytes(nvars, 0);
   std::vector<int> remaining(nvars, 0);
@@ -205,20 +206,17 @@ int64_t ScheduleMatchedPeak(const Program& p, const MemoryReport& report,
     remaining[static_cast<size_t>(r.var)] = r.num_consumers;
     has_range[static_cast<size_t>(r.var)] = 1;
   }
-  std::vector<const TraceEvent*> dones;
-  for (const TraceEvent& e : trace) {
-    if (e.state == profiler::EventState::kDone) dones.push_back(&e);
+  // Completion order: each pc's done by timestamp, then emission order.
+  std::vector<std::tuple<int64_t, int64_t, int>> dones;
+  for (const auto& [pc, rec] : trace.pcs()) {
+    if (!rec.done.seen() || static_cast<size_t>(pc) >= p.size()) continue;
+    dones.emplace_back(rec.done.time_us, rec.done.pos, pc);
   }
-  std::sort(dones.begin(), dones.end(),
-            [](const TraceEvent* a, const TraceEvent* b) {
-              if (a->time_us != b->time_us) return a->time_us < b->time_us;
-              return a->event < b->event;
-            });
+  std::sort(dones.begin(), dones.end());
   int64_t live = 0;
   int64_t peak = 0;
-  for (const TraceEvent* e : dones) {
-    if (e->pc < 0 || static_cast<size_t>(e->pc) >= p.size()) continue;
-    const mal::Instruction& ins = p.instruction(e->pc);
+  for (const auto& done : dones) {
+    const mal::Instruction& ins = p.instruction(std::get<2>(done));
     for (int v : ins.results) {
       if (v >= 0 && static_cast<size_t>(v) < nvars && has_range[static_cast<size_t>(v)]) {
         live = SaturatingAddBytes(live, var_bytes[static_cast<size_t>(v)]);
@@ -294,7 +292,7 @@ class FootprintConformanceCheck final : public Check {
     // interleavings (all mitosis pieces' intermediates held at once), so
     // its slack against one observed run says nothing about the byte
     // model itself.
-    int64_t sched_peak = ScheduleMatchedPeak(p, report, *ctx.trace);
+    int64_t sched_peak = ScheduleMatchedPeak(p, report, *ctx.trace_index);
     if (recorded > sched_peak) {
       emit.Emit(Severity::kError, recorded_pc, -1,
                 StrFormat("engine recorded a live-byte peak of %s but the "

@@ -10,9 +10,6 @@
 #include "common/string_util.h"
 
 namespace stetho::analysis {
-
-using profiler::TraceEvent;
-
 namespace {
 
 /// Individual findings before the rest collapse into one summary line.
@@ -46,7 +43,7 @@ class TracePerfRegressionCheck final : public Check {
   void Run(const CheckContext& ctx,
            std::vector<Diagnostic>* out) const override {
     Emitter emit(id(), out);
-    const std::vector<TraceEvent>& trace = *ctx.trace;
+    const profiler::TraceIndex& trace = *ctx.trace_index;
     if (trace.empty()) return;
 
     // Key by the executed plan when we have it (exact contract), else by

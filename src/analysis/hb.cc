@@ -11,16 +11,7 @@ namespace {
 
 using profiler::EventState;
 using profiler::TraceEvent;
-
-/// Restores emission order (UDP transport may reorder datagrams).
-std::vector<TraceEvent> SortedByEventId(const std::vector<TraceEvent>& events) {
-  std::vector<TraceEvent> sorted = events;
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.event < b.event;
-                   });
-  return sorted;
-}
+using profiler::TraceIndex;
 
 struct HbMetrics {
   obs::Counter* replays;
@@ -108,7 +99,7 @@ bool HappensBefore(const PcExecution& a, const PcExecution& b) {
 }
 
 ScheduleReport AnalyzeSchedule(const mal::Program& program,
-                               const std::vector<TraceEvent>& trace) {
+                               const TraceIndex& trace) {
   ScheduleReport report;
   report.executions.resize(program.size());
   for (size_t pc = 0; pc < program.size(); ++pc) {
@@ -123,39 +114,35 @@ ScheduleReport AnalyzeSchedule(const mal::Program& program,
           ? 0.0
           : static_cast<double>(dep_edges) / static_cast<double>(program.size());
   report.plan_width = PlanWidth(deps);
-
-  std::vector<TraceEvent> events = SortedByEventId(trace);
-  report.events = static_cast<int64_t>(events.size());
+  report.events = static_cast<int64_t>(trace.size());
+  report.max_observed_concurrency = trace.peak_concurrency();
 
   // Dense thread index space for the vector clocks.
   std::map<int, size_t> thread_index;
-  for (const TraceEvent& e : events) {
-    if (thread_index.emplace(e.thread, thread_index.size()).second) {
-      report.threads.push_back(e.thread);
+  for (size_t i = 0; i < trace.size(); ++i) {
+    if (thread_index.emplace(trace.at(i).thread, thread_index.size()).second) {
+      report.threads.push_back(trace.at(i).thread);
     }
   }
   size_t num_threads = thread_index.size();
 
   // Replay: per-thread clocks advance on every event; a start joins the done
-  // clocks of the producers the schedule actually respected.
+  // clocks of the producers the schedule actually respected. Only each pc's
+  // first start and first done take part; the surplus is reported below.
   std::vector<VectorClock> thread_clock(num_threads,
                                         VectorClock(num_threads));
-  int open = 0;
-  for (size_t i = 0; i < events.size(); ++i) {
-    const TraceEvent& e = events[i];
+  for (size_t i = 0; i < trace.size(); ++i) {
+    const TraceEvent& e = trace.at(i);
     if (e.pc < 0 || static_cast<size_t>(e.pc) >= program.size()) continue;
+    const profiler::PcRecord& rec = *trace.Find(e.pc);
+    const bool is_start = e.state == EventState::kStart;
+    if ((is_start ? rec.start.pos : rec.done.pos) != static_cast<int64_t>(i)) {
+      continue;
+    }
     PcExecution& exec = report.executions[static_cast<size_t>(e.pc)];
     size_t t = thread_index[e.thread];
     VectorClock& clock = thread_clock[t];
-    bool duplicate = e.state == EventState::kStart ? exec.started()
-                                                   : exec.completed();
-    if (duplicate) {
-      if (report.duplicates.empty() || report.duplicates.back() != e.pc) {
-        report.duplicates.push_back(e.pc);
-      }
-      continue;
-    }
-    if (e.state == EventState::kStart) {
+    if (is_start) {
       for (int q : deps[static_cast<size_t>(e.pc)]) {
         if (q < 0 || static_cast<size_t>(q) >= program.size()) continue;
         const PcExecution& producer =
@@ -167,7 +154,6 @@ ScheduleReport AnalyzeSchedule(const mal::Program& program,
           DependencyViolation v;
           v.pc = e.pc;
           v.producer = q;
-          v.producer_done_missing = true;  // not done yet at this start
           report.violations.push_back(v);
         }
       }
@@ -176,20 +162,20 @@ ScheduleReport AnalyzeSchedule(const mal::Program& program,
       exec.start_index = static_cast<int64_t>(i);
       exec.start_us = e.time_us;
       exec.start_vc = clock;
-      ++open;
-      report.max_observed_concurrency =
-          std::max(report.max_observed_concurrency, open);
     } else {
-      if (!exec.started()) report.inverted.push_back(e.pc);
       clock.Tick(t);
       exec.done_thread = e.thread;
       exec.done_index = static_cast<int64_t>(i);
       exec.done_us = e.time_us;
       exec.usec = e.usec;
       exec.done_vc = clock;
-      if (exec.started()) --open;
       ++report.completed_executions;
     }
+  }
+  for (const auto& [pc, rec] : trace.pcs()) {
+    if (static_cast<size_t>(pc) >= program.size()) break;
+    if (rec.done_before_start) report.inverted.push_back(pc);
+    if (rec.starts > 1 || rec.dones > 1) report.duplicates.push_back(pc);
   }
   // A producer whose done never arrived: every consumer start that ran is a
   // violation recorded above (producer.completed() was false at join time),

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "mal/program.h"
-#include "profiler/event.h"
+#include "profiler/trace_index.h"
 
 namespace stetho::analysis {
 
@@ -110,7 +110,8 @@ struct ScheduleReport {
   /// Width of the largest longest-path layer of the DAG — the number of
   /// instructions the plan admits running concurrently.
   int plan_width = 0;
-  /// Max pcs simultaneously open (started, not done) in event order.
+  /// Max pcs simultaneously open (started, not done) in emission order —
+  /// TraceIndex::peak_concurrency().
   int max_observed_concurrency = 0;
   int completed_executions = 0;
 
@@ -127,12 +128,12 @@ struct ScheduleReport {
 };
 
 /// Replays `trace` against `program` and returns the schedule report. Cost
-/// is O(events * avg-indegree): one pass over the sorted events, each start
-/// joining its producers' clocks. Also updates the `stetho_hb_*` metrics in
+/// is O(events * avg-indegree): one pass over the events in emission order,
+/// each start joining its producers' clocks. Also updates the `stetho_hb_*` metrics in
 /// obs::Registry::Default() (replays/events/violations counters plus
 /// critical-path, makespan, and slack gauges).
 ScheduleReport AnalyzeSchedule(const mal::Program& program,
-                               const std::vector<profiler::TraceEvent>& trace);
+                               const profiler::TraceIndex& trace);
 
 /// True when `a`'s completion happens-before `b`'s start under the replayed
 /// relation. Incomplete executions are unordered against everything.

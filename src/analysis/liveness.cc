@@ -156,6 +156,11 @@ int64_t SaturatingAddBytes(int64_t a, int64_t b) {
   return a + b;
 }
 
+int64_t SaturatingMulBytes(int64_t a, int64_t b) {
+  if (b > 0 && a > kUnboundedBytes / b) return kUnboundedBytes;
+  return a * b;
+}
+
 int64_t EstimateResultBytes(const mal::Instruction& ins,
                             const std::vector<AbstractValue>& args,
                             const AbstractValue& value) {
@@ -181,12 +186,13 @@ int64_t EstimateResultBytes(const mal::Instruction& ins,
   int64_t bytes = 0;
   if (value.elem == DataType::kString) {
     // Element costs are per stored row (size), the null mask per capacity.
-    bytes = SaturatingAddBytes(hi * kStringBytesPerRow, capacity);
+    bytes = SaturatingAddBytes(SaturatingMulBytes(hi, kStringBytesPerRow),
+                               capacity);
   } else {
     // kInt64/kOid/kBool share the int64 backing array; kDouble is 8 B too.
     // Unknown element types get the numeric width — every storable
     // non-string element is 8 B/row. Null mask: 1 B per reserved row.
-    bytes = SaturatingAddBytes(capacity * 8, capacity);
+    bytes = SaturatingAddBytes(SaturatingMulBytes(capacity, 8), capacity);
   }
   return bytes;
 }

@@ -43,6 +43,9 @@ inline constexpr int64_t kUnboundedBytes = 0x7fffffffffffffff;
 /// a + b with saturation at kUnboundedBytes.
 int64_t SaturatingAddBytes(int64_t a, int64_t b);
 
+/// a * b for non-negative a and b, with saturation at kUnboundedBytes.
+int64_t SaturatingMulBytes(int64_t a, int64_t b);
+
 /// Upper bound on the bytes Column::MemoryBytes() can report for a BAT
 /// described by `value`, defined by instruction `ins` whose argument facts
 /// are `args`. Scalars cost 0; an unbounded cardinality costs

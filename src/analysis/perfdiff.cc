@@ -2,18 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "analysis/hb.h"
 #include "common/string_util.h"
 
 namespace stetho::analysis {
+
+using profiler::TraceIndex;
+
 namespace {
 
 constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
 constexpr uint64_t kFnvPrime = 1099511628211ULL;
 
-void MixString(uint64_t* h, const std::string& s) {
+void MixString(uint64_t* h, std::string_view s) {
   for (char c : s) {
     *h ^= static_cast<unsigned char>(c);
     *h *= kFnvPrime;
@@ -22,45 +24,33 @@ void MixString(uint64_t* h, const std::string& s) {
   *h *= kFnvPrime;
 }
 
-/// Per-pc digest of one trace: first start/done pair plus statement text.
-struct PcDigest {
-  int64_t start_us = -1;
-  int64_t done_us = -1;
-  int64_t usec = -1;  ///< first done event's duration; -1 = never completed
-  int64_t rss_bytes = 0;
-  std::string stmt;
-};
-
-std::map<int, PcDigest> DigestTrace(
-    const std::vector<profiler::TraceEvent>& trace) {
-  std::map<int, PcDigest> digests;
-  for (const profiler::TraceEvent& event : trace) {
-    if (event.pc < 0) continue;
-    PcDigest& digest = digests[event.pc];
-    if (digest.stmt.empty() && !event.stmt.empty()) digest.stmt = event.stmt;
-    if (event.state == profiler::EventState::kStart) {
-      if (digest.start_us < 0) digest.start_us = event.time_us;
-    } else if (event.state == profiler::EventState::kDone) {
-      if (digest.done_us < 0) {
-        digest.done_us = event.time_us;
-        digest.usec = std::max<int64_t>(0, event.usec);
-        digest.rss_bytes = event.rss_bytes;
-      }
-    }
-  }
-  return digests;
+/// First done's duration clamped at 0; -1 when the pc never completed.
+int64_t CompletedUsec(const profiler::PcRecord& rec) {
+  return rec.done.seen() ? std::max<int64_t>(0, rec.usec) : -1;
 }
 
-int64_t Makespan(const std::map<int, PcDigest>& digests) {
+/// First start to last done over every pc's first start/done pair.
+int64_t Makespan(const TraceIndex& trace) {
   int64_t first = -1;
   int64_t last = -1;
-  for (const auto& [pc, digest] : digests) {
-    if (digest.start_us >= 0 && (first < 0 || digest.start_us < first)) {
-      first = digest.start_us;
+  for (const auto& [pc, rec] : trace.pcs()) {
+    if (rec.start.seen() && (first < 0 || rec.start.time_us < first)) {
+      first = rec.start.time_us;
     }
-    if (digest.done_us >= 0 && digest.done_us > last) last = digest.done_us;
+    if (rec.done.seen() && rec.done.time_us > last) last = rec.done.time_us;
   }
   return first >= 0 && last >= first ? last - first : 0;
+}
+
+/// Pcs on the report's critical path, as a per-pc mask of the plan.
+std::vector<bool> CriticalMask(const ScheduleReport& report, size_t size) {
+  std::vector<bool> on_path(size, false);
+  for (const CriticalPathStep& step : report.critical_path) {
+    if (step.pc >= 0 && static_cast<size_t>(step.pc) < size) {
+      on_path[static_cast<size_t>(step.pc)] = true;
+    }
+  }
+  return on_path;
 }
 
 std::string Truncate(const std::string& s, size_t max) {
@@ -78,88 +68,43 @@ uint64_t PlanShapeHash(const mal::Program& program) {
   return h;
 }
 
-uint64_t TraceShapeHash(const std::vector<profiler::TraceEvent>& trace) {
-  std::map<int, std::string> stmts;  // pc-ascending
-  for (const profiler::TraceEvent& event : trace) {
-    if (event.pc < 0 || event.stmt.empty()) continue;
-    stmts.emplace(event.pc, event.stmt);  // first text per pc wins
-  }
+uint64_t TraceShapeHash(const TraceIndex& trace) {
   uint64_t h = kFnvOffset;
-  for (const auto& [pc, stmt] : stmts) MixString(&h, stmt);
+  for (const auto& [pc, rec] : trace.pcs()) {
+    if (!rec.stmt.empty()) MixString(&h, rec.stmt);
+  }
   return h;
 }
 
-obs::QueryObservation ObservationFromTrace(
-    const std::vector<profiler::TraceEvent>& trace) {
+obs::QueryObservation ObservationFromTrace(const TraceIndex& trace) {
   obs::QueryObservation observation;
   observation.shape_hash = TraceShapeHash(trace);
-
-  std::map<int, PcDigest> digests = DigestTrace(trace);
-  observation.total_usec = Makespan(digests);
-  if (!digests.empty()) {
+  observation.total_usec = Makespan(trace);
+  if (!trace.pcs().empty()) {
     observation.plan_size =
-        static_cast<size_t>(digests.rbegin()->first) + 1;
+        static_cast<size_t>(trace.pcs().rbegin()->first) + 1;
   }
-
-  // Observed concurrency: sweep the first start/done interval of every pc
-  // in time order and record, at each start, how many intervals are open
-  // (the starting one included). Ties break start-before-done so two
-  // instructions meeting at one timestamp count as overlapped — the
-  // generous reading a skew detector wants.
-  struct Edge {
-    int64_t time_us;
-    int kind;  // 0 = start, 1 = done
-    int pc;
-  };
-  std::vector<Edge> edges;
-  for (const auto& [pc, digest] : digests) {
-    if (digest.start_us < 0) continue;
-    edges.push_back({digest.start_us, 0, pc});
-    if (digest.done_us >= digest.start_us) {
-      edges.push_back({digest.done_us, 1, pc});
-    }
-  }
-  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
-    if (a.time_us != b.time_us) return a.time_us < b.time_us;
-    if (a.kind != b.kind) return a.kind < b.kind;
-    return a.pc < b.pc;
-  });
-  std::map<int, int> concurrency;
-  int open = 0;
-  for (const Edge& edge : edges) {
-    if (edge.kind == 0) {
-      ++open;
-      concurrency[edge.pc] = open;
-    } else {
-      open = std::max(0, open - 1);
-    }
-  }
-
-  for (const auto& [pc, digest] : digests) {
-    if (digest.usec < 0) continue;  // never completed: nothing to fold
+  for (const auto& [pc, rec] : trace.pcs()) {
+    const int64_t usec = CompletedUsec(rec);
+    if (usec < 0) continue;  // never completed: nothing to fold
     obs::PcSample sample;
     sample.pc = pc;
-    sample.usec = digest.usec;
-    sample.bytes = std::max<int64_t>(0, digest.rss_bytes);
-    auto it = concurrency.find(pc);
-    sample.concurrency = it != concurrency.end() ? it->second : 1;
+    sample.usec = usec;
+    sample.bytes = std::max<int64_t>(0, rec.rss_bytes);
+    sample.concurrency = std::max(1, rec.open_at_start);
     observation.pcs.push_back(sample);
   }
   return observation;
 }
 
-TraceDiff DiffTraces(const std::vector<profiler::TraceEvent>& a,
-                     const std::vector<profiler::TraceEvent>& b,
+TraceDiff DiffTraces(const TraceIndex& a, const TraceIndex& b,
                      const mal::Program* plan) {
   TraceDiff diff;
   diff.a_hash = TraceShapeHash(a);
   diff.b_hash = TraceShapeHash(b);
   diff.shapes_match = diff.a_hash == diff.b_hash;
-
-  std::map<int, PcDigest> da = DigestTrace(a);
-  std::map<int, PcDigest> db = DigestTrace(b);
-  diff.a_makespan_usec = Makespan(da);
-  diff.b_makespan_usec = Makespan(db);
+  diff.a_makespan_usec = Makespan(a);
+  diff.b_makespan_usec = Makespan(b);
 
   std::vector<bool> critical_a;
   std::vector<bool> critical_b;
@@ -168,47 +113,36 @@ TraceDiff DiffTraces(const std::vector<profiler::TraceEvent>& a,
     ScheduleReport rb = AnalyzeSchedule(*plan, b);
     diff.a_critical_usec = ra.critical_path_usec;
     diff.b_critical_usec = rb.critical_path_usec;
-    critical_a.assign(plan->size(), false);
-    critical_b.assign(plan->size(), false);
-    for (const CriticalPathStep& step : ra.critical_path) {
-      if (step.pc >= 0 && static_cast<size_t>(step.pc) < critical_a.size()) {
-        critical_a[static_cast<size_t>(step.pc)] = true;
-      }
-    }
-    for (const CriticalPathStep& step : rb.critical_path) {
-      if (step.pc >= 0 && static_cast<size_t>(step.pc) < critical_b.size()) {
-        critical_b[static_cast<size_t>(step.pc)] = true;
-      }
-    }
+    critical_a = CriticalMask(ra, plan->size());
+    critical_b = CriticalMask(rb, plan->size());
   }
 
-  for (const auto& [pc, digest_a] : da) {
-    auto it = db.find(pc);
-    if (it == db.end() || it->second.usec < 0 || digest_a.usec < 0) {
-      if (digest_a.usec >= 0 && (it == db.end() || it->second.usec < 0)) {
-        diff.only_a.push_back(pc);
-      }
+  for (const auto& [pc, rec_a] : a.pcs()) {
+    const int64_t a_usec = CompletedUsec(rec_a);
+    const profiler::PcRecord* rec_b = b.Find(pc);
+    const int64_t b_usec = rec_b == nullptr ? -1 : CompletedUsec(*rec_b);
+    if (a_usec < 0 || b_usec < 0) {
+      if (a_usec >= 0) diff.only_a.push_back(pc);
       continue;
     }
-    const PcDigest& digest_b = it->second;
     PcDelta delta;
     delta.pc = pc;
-    delta.stmt = !digest_b.stmt.empty() ? digest_b.stmt : digest_a.stmt;
-    delta.a_usec = digest_a.usec;
-    delta.b_usec = digest_b.usec;
-    delta.delta_usec = digest_b.usec - digest_a.usec;
-    delta.ratio = static_cast<double>(digest_b.usec) /
-                  static_cast<double>(std::max<int64_t>(1, digest_a.usec));
+    delta.stmt = std::string(!rec_b->stmt.empty() ? rec_b->stmt : rec_a.stmt);
+    delta.a_usec = a_usec;
+    delta.b_usec = b_usec;
+    delta.delta_usec = b_usec - a_usec;
+    delta.ratio = static_cast<double>(b_usec) /
+                  static_cast<double>(std::max<int64_t>(1, a_usec));
     if (static_cast<size_t>(pc) < critical_a.size()) {
       delta.critical_a = critical_a[static_cast<size_t>(pc)];
       delta.critical_b = critical_b[static_cast<size_t>(pc)];
     }
     diff.deltas.push_back(std::move(delta));
   }
-  for (const auto& [pc, digest_b] : db) {
-    if (digest_b.usec < 0) continue;
-    auto it = da.find(pc);
-    if (it == da.end() || it->second.usec < 0) diff.only_b.push_back(pc);
+  for (const auto& [pc, rec_b] : b.pcs()) {
+    if (CompletedUsec(rec_b) < 0) continue;
+    const profiler::PcRecord* rec_a = a.Find(pc);
+    if (rec_a == nullptr || CompletedUsec(*rec_a) < 0) diff.only_b.push_back(pc);
   }
   std::sort(diff.deltas.begin(), diff.deltas.end(),
             [](const PcDelta& x, const PcDelta& y) {

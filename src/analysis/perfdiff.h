@@ -8,7 +8,7 @@
 #include "common/status.h"
 #include "mal/program.h"
 #include "obs/profile_store.h"
-#include "profiler/event.h"
+#include "profiler/trace_index.h"
 
 namespace stetho::analysis {
 
@@ -24,21 +24,20 @@ namespace stetho::analysis {
 /// are one plan shape). The key ProgressModelCache and ProfileStore share.
 uint64_t PlanShapeHash(const mal::Program& program);
 
-/// The same hash computed from a recorded trace: the statement text of
-/// each pc's first event, mixed in ascending pc order. Equal to
-/// PlanShapeHash of the plan that produced the trace whenever the trace
-/// covers every pc (the one-start/one-done contract), because the profiler
-/// stamps events with the rendered instruction text.
-uint64_t TraceShapeHash(const std::vector<profiler::TraceEvent>& trace);
+/// The same hash computed from a recorded trace: each pc's first non-empty
+/// statement text, mixed in ascending pc order. Equal to PlanShapeHash of
+/// the plan that produced the trace whenever the trace covers every pc (the
+/// one-start/one-done contract), because the profiler stamps events with
+/// the rendered instruction text.
+uint64_t TraceShapeHash(const profiler::TraceIndex& trace);
 
 /// Folds a recorded trace into a single-query observation: per-pc duration
 /// (first done event's usec), engine live bytes at completion, observed
-/// concurrency (open start/done intervals when the pc started, itself
-/// included), and the trace makespan as total_usec. shape_hash is set from
-/// TraceShapeHash; callers holding the plan should overwrite it with
-/// PlanShapeHash to key consistently with the server's fold path.
-obs::QueryObservation ObservationFromTrace(
-    const std::vector<profiler::TraceEvent>& trace);
+/// concurrency (PcRecord::open_at_start), and the trace makespan as
+/// total_usec. shape_hash is set from TraceShapeHash; callers holding the
+/// plan should overwrite it with PlanShapeHash to key consistently with the
+/// server's fold path.
+obs::QueryObservation ObservationFromTrace(const profiler::TraceIndex& trace);
 
 /// One matched pc in a two-trace comparison.
 struct PcDelta {
@@ -72,9 +71,8 @@ struct TraceDiff {
 /// With a plan, each trace is replayed through the happens-before model so
 /// the critical-path delta can be called out — the plan must match the
 /// traces' shape.
-TraceDiff DiffTraces(const std::vector<profiler::TraceEvent>& a,
-                     const std::vector<profiler::TraceEvent>& b,
-                     const mal::Program* plan);
+TraceDiff DiffTraces(const profiler::TraceIndex& a,
+                     const profiler::TraceIndex& b, const mal::Program* plan);
 
 /// Human-readable diff report (`stethoscope diff`).
 std::string FormatTraceDiff(const TraceDiff& diff);

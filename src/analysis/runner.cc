@@ -1,10 +1,12 @@
 #include "analysis/runner.h"
 
 #include <algorithm>
+#include <optional>
 #include <tuple>
 #include <utility>
 
 #include "analysis/checks.h"
+#include "analysis/hb.h"
 #include "common/string_util.h"
 
 namespace stetho::analysis {
@@ -59,10 +61,21 @@ void Runner::Add(std::unique_ptr<Check> check) {
 }
 
 std::vector<Diagnostic> Runner::Run(const CheckContext& context) const {
+  CheckContext ctx = context;
+  std::optional<profiler::TraceIndex> index;
+  std::optional<ScheduleReport> schedule;
+  if (ctx.trace != nullptr && ctx.trace_index == nullptr) {
+    ctx.trace_index = &index.emplace(*ctx.trace);
+  }
+  if (ctx.program != nullptr && ctx.trace_index != nullptr &&
+      ctx.schedule == nullptr) {
+    ctx.schedule = &schedule.emplace(
+        AnalyzeSchedule(*ctx.program, *ctx.trace_index));
+  }
   std::vector<Diagnostic> diagnostics;
   for (const std::unique_ptr<Check>& check : checks_) {
-    if (!NeedsSatisfied(check->needs(), context)) continue;
-    check->Run(context, &diagnostics);
+    if (!NeedsSatisfied(check->needs(), ctx)) continue;
+    check->Run(ctx, &diagnostics);
   }
   std::stable_sort(diagnostics.begin(), diagnostics.end(),
                    [](const Diagnostic& a, const Diagnostic& b) {
@@ -266,28 +279,8 @@ std::vector<Diagnostic> ApplyBaseline(
     const std::vector<std::string>& baseline) {
   if (baseline.empty()) return diagnostics;
   auto suppressed = [&baseline](const Diagnostic& d) {
-    if (std::find(baseline.begin(), baseline.end(),
-                  DiagnosticFingerprint(d)) != baseline.end()) {
-      return true;
-    }
-    // Legacy alias: the trace-side half of bat-lifetime moved into
-    // trace-dependency-violation (single source of truth for the
-    // happens-before contract). Baselines recorded before the move list
-    // the old fingerprint; map today's finding back onto it so those
-    // files keep suppressing the same schedule anomaly.
-    if (d.check_id == "trace-dependency-violation") {
-      Diagnostic legacy = d;
-      legacy.check_id = "bat-lifetime";
-      legacy.message = StrFormat(
-          "started before its producer pc=%d finished — the register it "
-          "reads may already be released",
-          /*producer=*/0);
-      if (std::find(baseline.begin(), baseline.end(),
-                    DiagnosticFingerprint(legacy)) != baseline.end()) {
-        return true;
-      }
-    }
-    return false;
+    return std::find(baseline.begin(), baseline.end(),
+                     DiagnosticFingerprint(d)) != baseline.end();
   };
   diagnostics.erase(
       std::remove_if(diagnostics.begin(), diagnostics.end(), suppressed),

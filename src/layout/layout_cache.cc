@@ -81,8 +81,7 @@ uint64_t LayoutCache::HashKey(const dot::Graph& graph,
     HashString(&h, edge.from);
     HashString(&h, edge.to);
   }
-  // Every option that affects geometry; pool / parallel_min_nodes are
-  // deliberately absent (parallelism never changes the output).
+  // Every option (each one affects geometry).
   HashDouble(&h, options.char_width);
   HashDouble(&h, options.node_height);
   HashDouble(&h, options.min_node_width);

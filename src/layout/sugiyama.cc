@@ -1,14 +1,8 @@
 #include "layout/sugiyama.h"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <functional>
-#include <mutex>
-#include <numeric>
 #include <utility>
 
-#include "engine/worker_pool.h"
 #include "obs/span.h"
 
 namespace stetho::layout {
@@ -55,41 +49,6 @@ class AccumulationTree {
   std::vector<int32_t> tree_;
 };
 
-/// Runs fn(0..n-1) with helpers from the pool; the calling thread
-/// participates, so progress never depends on a free worker. Work items are
-/// claimed from a shared atomic cursor; fn must only write state owned by
-/// item i, which keeps the result identical to the sequential loop.
-void ParallelFor(engine::WorkerPool* pool, int n,
-                 const std::function<void(int)>& fn) {
-  if (pool == nullptr || n <= 1) {
-    for (int i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::atomic<int> next{0};
-  std::atomic<int> active{0};
-  std::mutex mu;
-  std::condition_variable cv;
-  int helpers = std::min(n - 1, 3);
-  pool->EnsureWorkers(helpers);
-  active.store(helpers, std::memory_order_relaxed);
-  for (int h = 0; h < helpers; ++h) {
-    pool->Submit([&next, &active, &mu, &cv, &fn, n] {
-      int i;
-      while ((i = next.fetch_add(1, std::memory_order_relaxed)) < n) fn(i);
-      if (active.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(mu);
-        cv.notify_one();
-      }
-    });
-  }
-  int i;
-  while ((i = next.fetch_add(1, std::memory_order_relaxed)) < n) fn(i);
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&active] {
-    return active.load(std::memory_order_acquire) == 0;
-  });
-}
-
 /// Shared state for the ordering phase. `position[v]` is v's index inside
 /// its layer and is kept in sync with `layers` after every mutation.
 struct OrderingContext {
@@ -128,17 +87,13 @@ int64_t PairCrossings(const OrderingContext& ctx, int li) {
   return crossings;
 }
 
-/// Total crossings of the current ordering. Layer pairs are independent
-/// reads, so with a pool they are counted concurrently and summed in a
-/// fixed order.
-int64_t TotalCrossings(const OrderingContext& ctx, engine::WorkerPool* pool) {
-  int pairs = static_cast<int>(ctx.layers.size()) - 1;
-  if (pairs <= 0) return 0;
-  std::vector<int64_t> per_pair(static_cast<size_t>(pairs), 0);
-  ParallelFor(pool, pairs, [&ctx, &per_pair](int li) {
-    per_pair[static_cast<size_t>(li)] = PairCrossings(ctx, li);
-  });
-  return std::accumulate(per_pair.begin(), per_pair.end(), int64_t{0});
+/// Total crossings of the current ordering.
+int64_t TotalCrossings(const OrderingContext& ctx) {
+  int64_t total = 0;
+  for (int li = 0; li + 1 < static_cast<int>(ctx.layers.size()); ++li) {
+    total += PairCrossings(ctx, li);
+  }
+  return total;
 }
 
 /// GKNV weighted median of sorted neighbor positions; `fallback` keeps
@@ -189,8 +144,8 @@ void OrderLayer(OrderingContext& ctx, int li, bool down, bool median,
 
 /// One adjacent-transpose pass over layer `li`: swap neighboring nodes
 /// whenever that strictly reduces crossings against the two adjacent
-/// layers. Reads only the (frozen) positions of adjacent layers and writes
-/// only its own layer, so even and odd layers can run in parallel phases.
+/// layers. Reads only the positions of adjacent layers and writes only its
+/// own layer.
 bool TransposeLayer(OrderingContext& ctx, int li) {
   auto& lay = ctx.layers[static_cast<size_t>(li)];
   bool improved = false;
@@ -264,27 +219,17 @@ Result<GraphLayout> LayoutGraph(const dot::Graph& graph,
   refresh_positions();
   OrderingContext ctx{out_adj, in_adj, layer, layers, position};
 
-  engine::WorkerPool* pool = nullptr;
-  if (static_cast<int>(n) >= options.parallel_min_nodes) {
-    pool = options.pool != nullptr ? options.pool
-                                   : engine::WorkerPool::Default();
-  }
-
   // Crossing reduction: alternate downward (order by parents) and upward
   // (order by children) sweeps, each followed by adjacent-transpose
   // refinement. The best ordering seen — including the initial one — is
   // kept, and the loop exits as soon as a sweep stops improving, so
   // `barycenter_sweeps` is a ceiling rather than a fixed cost.
-  int64_t crossings = TotalCrossings(ctx, pool);
+  int64_t crossings = TotalCrossings(ctx);
   if (options.barycenter_sweeps > 0 && num_layers > 1 && crossings > 0) {
     int64_t best = crossings;
     std::vector<std::vector<int>> best_layers = layers;
     std::vector<double> key(n, 0);
     std::vector<int> scratch;
-    std::vector<int> parity_layers[2];
-    for (int li = 0; li < num_layers; ++li) {
-      parity_layers[li % 2].push_back(li);
-    }
     for (int sweep = 0; sweep < options.barycenter_sweeps && best > 0;
          ++sweep) {
       bool down = (sweep % 2 == 0);
@@ -293,18 +238,17 @@ Result<GraphLayout> LayoutGraph(const dot::Graph& graph,
         OrderLayer(ctx, li, down, options.median, key, scratch);
       }
       for (int pass = 0; pass < options.transpose_passes; ++pass) {
-        std::atomic<bool> changed{false};
-        for (const auto& phase : parity_layers) {
-          ParallelFor(pool, static_cast<int>(phase.size()),
-                      [&ctx, &phase, &changed](int i) {
-                        if (TransposeLayer(ctx, phase[static_cast<size_t>(i)])) {
-                          changed.store(true, std::memory_order_relaxed);
-                        }
-                      });
+        // Even layers first, then odd: each layer sees its neighbors as the
+        // previous phase left them.
+        bool changed = false;
+        for (int parity = 0; parity < 2; ++parity) {
+          for (int li = parity; li < num_layers; li += 2) {
+            changed = TransposeLayer(ctx, li) || changed;
+          }
         }
-        if (!changed.load(std::memory_order_relaxed)) break;
+        if (!changed) break;
       }
-      int64_t cur = TotalCrossings(ctx, pool);
+      int64_t cur = TotalCrossings(ctx);
       if (cur < best) {
         best = cur;
         best_layers = layers;

@@ -7,10 +7,6 @@
 #include "common/status.h"
 #include "dot/graph.h"
 
-namespace stetho::engine {
-class WorkerPool;
-}  // namespace stetho::engine
-
 namespace stetho::layout {
 
 struct Point {
@@ -38,13 +34,6 @@ struct LayoutOptions {
   /// pass swaps neighboring nodes whenever the swap strictly reduces
   /// crossings. 0 disables.
   int transpose_passes = 2;
-  /// Pool for per-layer parallel phases (transpose runs even/odd layers
-  /// concurrently; crossing counts run per layer pair). nullptr uses
-  /// engine::WorkerPool::Default(). Results are identical with or without a
-  /// pool — parallelism only changes scheduling, never the ordering.
-  engine::WorkerPool* pool = nullptr;
-  /// Graphs below this node count run single-threaded regardless of pool.
-  int parallel_min_nodes = 768;
 };
 
 /// Placement of one node; (x, y) is the node center.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 
 #include "common/string_util.h"
 
@@ -10,62 +9,32 @@ namespace stetho::scope {
 
 using profiler::EventState;
 using profiler::TraceEvent;
+using profiler::TraceIndex;
 
-namespace {
-
-/// Extracts "module.function" from a rendered MAL statement.
-std::string OperatorOf(const std::string& stmt) {
+std::string OperatorOf(std::string_view stmt) {
   size_t start = 0;
   size_t assign = stmt.find(":=");
-  if (assign != std::string::npos) start = assign + 2;
+  if (assign != std::string_view::npos) start = assign + 2;
   while (start < stmt.size() && stmt[start] == ' ') ++start;
   size_t paren = stmt.find('(', start);
-  if (paren == std::string::npos) return stmt.substr(start);
-  return stmt.substr(start, paren - start);
+  if (paren == std::string_view::npos) return std::string(stmt.substr(start));
+  return std::string(stmt.substr(start, paren - start));
 }
 
-}  // namespace
-
-UtilizationReport AnalyzeThreadUtilization(const std::vector<TraceEvent>& events) {
+UtilizationReport AnalyzeThreadUtilization(const TraceIndex& trace) {
   UtilizationReport report;
-  if (events.empty()) return report;
-
   std::map<int, ThreadUtilization> threads;
-  int64_t first_us = events.front().time_us;
-  int64_t last_us = events.front().time_us;
   int64_t total_busy = 0;
-
-  // Concurrency sweep: +1 at each start timestamp, -1 at each done.
-  std::vector<std::pair<int64_t, int>> deltas;
-  for (const TraceEvent& e : events) {
-    first_us = std::min(first_us, e.time_us);
-    last_us = std::max(last_us, e.time_us);
-    if (e.state == EventState::kStart) {
-      deltas.emplace_back(e.time_us, +1);
-      continue;
-    }
-    ThreadUtilization& t = threads[e.thread];
-    t.thread = e.thread;
-    t.busy_us += e.usec;
+  for (const auto& [pc, rec] : trace.pcs()) {
+    if (!rec.done.seen()) continue;
+    ThreadUtilization& t = threads[rec.done.slot];
+    t.thread = rec.done.slot;
+    t.busy_us += rec.usec;
     ++t.instructions;
-    total_busy += e.usec;
-    deltas.emplace_back(e.time_us, -1);
+    total_busy += rec.usec;
   }
-  std::stable_sort(deltas.begin(), deltas.end(),
-                   [](const auto& a, const auto& b) {
-                     if (a.first != b.first) return a.first < b.first;
-                     // Done before start at equal timestamps: conservative.
-                     return a.second < b.second;
-                   });
-  int64_t running = 0;
-  int64_t peak = 0;
-  for (const auto& [ts, delta] : deltas) {
-    running += delta;
-    peak = std::max(peak, running);
-  }
-
-  report.wall_us = last_us - first_us;
-  report.max_concurrency = static_cast<size_t>(peak);
+  report.wall_us = trace.last_time_us() - trace.first_time_us();
+  report.max_concurrency = static_cast<size_t>(trace.peak_concurrency());
   report.avg_concurrency =
       report.wall_us > 0
           ? static_cast<double>(total_busy) / static_cast<double>(report.wall_us)
@@ -89,19 +58,19 @@ std::string UtilizationReport::ToString() const {
   return out;
 }
 
-std::vector<OperatorStats> AnalyzeOperators(const std::vector<TraceEvent>& events) {
+std::vector<OperatorStats> AnalyzeOperators(const TraceIndex& trace) {
   std::map<std::string, OperatorStats> by_op;
   std::map<std::string, std::vector<int64_t>> durations;
-  for (const TraceEvent& e : events) {
-    if (e.state != EventState::kDone) continue;
-    std::string op = OperatorOf(e.stmt);
+  for (const auto& [pc, rec] : trace.pcs()) {
+    if (!rec.done.seen()) continue;
+    std::string op = OperatorOf(rec.stmt);
     OperatorStats& stats = by_op[op];
     stats.op = op;
     ++stats.calls;
-    stats.total_usec += e.usec;
-    stats.max_usec = std::max(stats.max_usec, e.usec);
-    stats.max_rss_bytes = std::max(stats.max_rss_bytes, e.rss_bytes);
-    durations[op].push_back(e.usec);
+    stats.total_usec += rec.usec;
+    stats.max_usec = std::max(stats.max_usec, rec.usec);
+    stats.max_rss_bytes = std::max(stats.max_rss_bytes, rec.rss_bytes);
+    durations[op].push_back(rec.usec);
   }
   for (auto& [op, samples] : durations) {
     std::sort(samples.begin(), samples.end());
@@ -146,9 +115,9 @@ std::vector<CostlyCluster> FindCostlyClusters(
   return clusters;
 }
 
-ParallelismDiagnosis DiagnoseParallelism(const std::vector<TraceEvent>& events,
+ParallelismDiagnosis DiagnoseParallelism(const TraceIndex& trace,
                                          int expected_dop) {
-  UtilizationReport util = AnalyzeThreadUtilization(events);
+  UtilizationReport util = AnalyzeThreadUtilization(trace);
   ParallelismDiagnosis diag;
   diag.max_concurrency = util.max_concurrency;
   diag.avg_concurrency = util.avg_concurrency;
@@ -168,90 +137,6 @@ ParallelismDiagnosis DiagnoseParallelism(const std::vector<TraceEvent>& events,
         diag.threads_used, diag.max_concurrency, expected_dop);
   }
   return diag;
-}
-
-namespace {
-
-/// Total completed time and operator per pc.
-std::map<int, std::pair<int64_t, std::string>> SumByPc(
-    const std::vector<TraceEvent>& events) {
-  std::map<int, std::pair<int64_t, std::string>> out;
-  for (const TraceEvent& e : events) {
-    if (e.state != EventState::kDone) continue;
-    auto& entry = out[e.pc];
-    entry.first += e.usec;
-    if (entry.second.empty()) entry.second = OperatorOf(e.stmt);
-  }
-  return out;
-}
-
-}  // namespace
-
-TraceComparison CompareTraces(const std::vector<TraceEvent>& a,
-                              const std::vector<TraceEvent>& b) {
-  TraceComparison cmp;
-  auto by_pc_a = SumByPc(a);
-  auto by_pc_b = SumByPc(b);
-  for (const auto& [pc, entry] : by_pc_a) {
-    cmp.total_usec_a += entry.first;
-    auto it = by_pc_b.find(pc);
-    if (it == by_pc_b.end()) {
-      cmp.only_in_a.push_back(pc);
-      continue;
-    }
-    TraceDelta delta;
-    delta.pc = pc;
-    delta.op = entry.second;
-    delta.usec_a = entry.first;
-    delta.usec_b = it->second.first;
-    cmp.deltas.push_back(std::move(delta));
-  }
-  for (const auto& [pc, entry] : by_pc_b) {
-    cmp.total_usec_b += entry.first;
-    if (!by_pc_a.count(pc)) cmp.only_in_b.push_back(pc);
-  }
-  std::sort(cmp.deltas.begin(), cmp.deltas.end(),
-            [](const TraceDelta& x, const TraceDelta& y) {
-              int64_t dx = x.delta_usec() < 0 ? -x.delta_usec() : x.delta_usec();
-              int64_t dy = y.delta_usec() < 0 ? -y.delta_usec() : y.delta_usec();
-              if (dx != dy) return dx > dy;
-              return x.pc < y.pc;
-            });
-  return cmp;
-}
-
-std::string TraceComparison::ToString(size_t top_n) const {
-  std::string out = StrFormat(
-      "total: %lldus -> %lldus (%+lldus)\n",
-      static_cast<long long>(total_usec_a),
-      static_cast<long long>(total_usec_b),
-      static_cast<long long>(total_usec_b - total_usec_a));
-  for (size_t i = 0; i < deltas.size() && i < top_n; ++i) {
-    const TraceDelta& d = deltas[i];
-    out += StrFormat("  pc=%-4d %-24s %8lldus -> %8lldus (%+lldus)\n", d.pc,
-                     d.op.c_str(), static_cast<long long>(d.usec_a),
-                     static_cast<long long>(d.usec_b),
-                     static_cast<long long>(d.delta_usec()));
-  }
-  if (!only_in_a.empty()) {
-    out += StrFormat("  %zu instruction(s) only in trace A\n", only_in_a.size());
-  }
-  if (!only_in_b.empty()) {
-    out += StrFormat("  %zu instruction(s) only in trace B\n", only_in_b.size());
-  }
-  return out;
-}
-
-double EstimateProgress(const std::vector<TraceEvent>& events,
-                        size_t plan_size) {
-  if (plan_size == 0) return 0.0;
-  std::set<int> done_pcs;
-  for (const TraceEvent& e : events) {
-    if (e.state == EventState::kDone) done_pcs.insert(e.pc);
-  }
-  double fraction =
-      static_cast<double>(done_pcs.size()) / static_cast<double>(plan_size);
-  return fraction > 1.0 ? 1.0 : fraction;
 }
 
 }  // namespace stetho::scope

@@ -2,11 +2,19 @@
 #define STETHO_SCOPE_ANALYSIS_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "profiler/event.h"
+#include "profiler/trace_index.h"
 
 namespace stetho::scope {
+
+// The analyses below read each pc's first start/done pair from a
+// profiler::TraceIndex, the one offline view of a recorded trace.
+
+/// Extracts "module.function" from a rendered MAL statement.
+std::string OperatorOf(std::string_view stmt);
 
 /// --- Multi-core utilization (paper §5: "utilization distribution of
 /// threads", "Multi-core utilization analysis exhibits degree of
@@ -15,21 +23,22 @@ namespace stetho::scope {
 struct ThreadUtilization {
   int thread = 0;
   int64_t busy_us = 0;        ///< sum of instruction durations on this thread
-  int64_t instructions = 0;   ///< done events observed
+  int64_t instructions = 0;   ///< completed instructions
 };
 
 struct UtilizationReport {
-  int64_t wall_us = 0;  ///< first start → last done
+  int64_t wall_us = 0;  ///< first → last event timestamp
   std::vector<ThreadUtilization> threads;
-  size_t max_concurrency = 0;   ///< peak simultaneously-running instructions
+  /// Peak simultaneously-running instructions
+  /// (profiler::TraceIndex::peak_concurrency).
+  size_t max_concurrency = 0;
   double avg_concurrency = 0;   ///< total busy / wall
 
   /// Human-readable distribution table.
   std::string ToString() const;
 };
 
-UtilizationReport AnalyzeThreadUtilization(
-    const std::vector<profiler::TraceEvent>& events);
+UtilizationReport AnalyzeThreadUtilization(const profiler::TraceIndex& trace);
 
 /// --- Memory usage by operators (paper §5: "memory usage by operators") ---
 
@@ -43,9 +52,9 @@ struct OperatorStats {
   int64_t max_rss_bytes = 0;  ///< peak engine memory observed at this op
 };
 
-/// Aggregates done events by operator, sorted by total time (descending).
-std::vector<OperatorStats> AnalyzeOperators(
-    const std::vector<profiler::TraceEvent>& events);
+/// Aggregates completed instructions by operator, sorted by total time
+/// (descending).
+std::vector<OperatorStats> AnalyzeOperators(const profiler::TraceIndex& trace);
 
 /// --- Costly-instruction clustering (paper §5: "costly instruction
 /// clustering", "sequence of instruction execution clustering") ---
@@ -76,44 +85,8 @@ struct ParallelismDiagnosis {
   std::string summary;
 };
 
-ParallelismDiagnosis DiagnoseParallelism(
-    const std::vector<profiler::TraceEvent>& events, int expected_dop);
-
-/// --- Cross-run comparison (micro analysis, paper §6) ---
-
-/// Per-instruction change between two traces of the same plan.
-struct TraceDelta {
-  int pc = 0;
-  std::string op;            ///< "module.function"
-  int64_t usec_a = 0;        ///< total completed time in trace A
-  int64_t usec_b = 0;        ///< ... and in trace B
-  int64_t delta_usec() const { return usec_b - usec_a; }
-};
-
-struct TraceComparison {
-  int64_t total_usec_a = 0;
-  int64_t total_usec_b = 0;
-  /// Pcs present in both, sorted by |delta| descending (regressions and
-  /// improvements first).
-  std::vector<TraceDelta> deltas;
-  std::vector<int> only_in_a;  ///< executed only in trace A
-  std::vector<int> only_in_b;
-
-  /// Human-readable regression report (top `top_n` movers).
-  std::string ToString(size_t top_n = 10) const;
-};
-
-/// Compares two traces of the same plan pc-by-pc — the "micro analysis"
-/// workflow: record a query twice (e.g. before/after a kernel change) and
-/// diff where the time went.
-TraceComparison CompareTraces(const std::vector<profiler::TraceEvent>& a,
-                              const std::vector<profiler::TraceEvent>& b);
-
-/// --- Progress (paper §5: "Monitor the progress of query plan execution") ---
-
-/// Fraction of plan instructions with a done event, in [0, 1].
-double EstimateProgress(const std::vector<profiler::TraceEvent>& events,
-                        size_t plan_size);
+ParallelismDiagnosis DiagnoseParallelism(const profiler::TraceIndex& trace,
+                                         int expected_dop);
 
 }  // namespace stetho::scope
 

@@ -41,30 +41,27 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
 
   // Live progress/ETA: the plan's work model comes from EXPLAIN (the
   // pipeline is deterministic, so the shape matches what ExecuteSql will
-  // run) and the received done-events fill it in. A failed compile is
-  // surfaced by the query thread below; the monitor then just has no
-  // estimator to feed.
-  std::shared_ptr<analysis::ProgressEstimator> estimator;
+  // run) and the received done-events fill it in. A plan that does not
+  // compile would fail the query the same way, so its error returns here.
+  STETHO_ASSIGN_OR_RETURN(mal::Program plan, server_->Explain(sql));
+  analysis::ProgressEstimator estimator(
+      analysis::ProgressModelCache::Default()->GetOrBuild(plan));
   // Straggler comparator: the stored cross-run baseline for this plan's
   // shape, if the profile store has one. Start times feed the running-
   // duration check (an instruction can be flagged before it completes).
-  std::shared_ptr<const obs::PlanProfile> baseline;
+  obs::ProfileStore* store = options_.profile != nullptr
+                                 ? options_.profile
+                                 : obs::ProfileStore::Default();
+  std::shared_ptr<const obs::PlanProfile> baseline =
+      store->Lookup(analysis::PlanShapeHash(plan));
   std::mutex straggler_mu;
   std::map<int, int64_t> start_us;
   int64_t newest_event_us = 0;
-  if (auto plan = server_->Explain(sql); plan.ok()) {
-    estimator = std::make_shared<analysis::ProgressEstimator>(
-        analysis::ProgressModelCache::Default()->GetOrBuild(plan.value()));
-    obs::ProfileStore* store = options_.profile != nullptr
-                                   ? options_.profile
-                                   : obs::ProfileStore::Default();
-    baseline = store->Lookup(analysis::PlanShapeHash(plan.value()));
-  }
 
   TextualStethoscope textual(topt);
   textual.SetEventCallback(
       [&](const std::string& /*server*/, const TraceEvent& event) {
-        if (estimator != nullptr) estimator->ObserveEvent(event);
+        estimator.ObserveEvent(event);
         if (baseline != nullptr) {
           std::lock_guard<std::mutex> lock(straggler_mu);
           newest_event_us = std::max(newest_event_us, event.time_us);
@@ -177,7 +174,7 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
            options_.straggler_ratio * std::max(1.0, median);
   };
   auto sweep_stragglers = [&] {
-    if (baseline == nullptr || estimator == nullptr) return;
+    if (baseline == nullptr) return;
     std::map<int, int64_t> starts;
     int64_t now_us;
     {
@@ -189,7 +186,7 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
       const int ipc = static_cast<int>(pc);
       if (straggler_flagged.count(ipc) > 0) continue;
       const obs::RobustStat& stat = baseline->pcs[pc].usec;
-      const int64_t done_usec = estimator->PcUsec(ipc);
+      const int64_t done_usec = estimator.PcUsec(ipc);
       const bool completed = done_usec >= 0;
       int64_t usec = done_usec;
       if (!completed) {
@@ -215,23 +212,12 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
     }
   };
   auto analyze_once = [&] {
-    std::vector<TraceEvent> buffer = textual.BufferSnapshot();
-    if (estimator != nullptr) {
-      report.progress_series.push_back(estimator->ratio());
-      report.eta_series_usec.push_back(estimator->EtaUsec());
-    } else {
-      report.progress_series.push_back(
-          EstimateProgress(buffer, report.graph_nodes));
-      report.eta_series_usec.push_back(-1);
-    }
+    report.progress_series.push_back(estimator.ratio());
+    report.eta_series_usec.push_back(estimator.EtaUsec());
     textual.ObserveStaleness();
     sweep_stragglers();
     if (options_.status_line) {
-      std::string line =
-          estimator != nullptr
-              ? estimator->ScoreboardLine(query_name)
-              : StrFormat("%s  %5.1f%%", query_name.c_str(),
-                          100.0 * report.progress_series.back());
+      std::string line = estimator.ScoreboardLine(query_name);
       if (baseline != nullptr) {
         line += StrFormat("  stragglers:%zu", report.stragglers.size());
       }
@@ -278,7 +264,7 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
   }
   query_thread.join();
   // The query is complete: pin progress at 1.0 whatever the wire delivered.
-  if (estimator != nullptr && query_status.ok()) estimator->MarkFinished();
+  if (query_status.ok()) estimator.MarkFinished();
   analyze_once();  // final sweep over the complete buffer
   scene_->dispatcher()->Drain();
   server_->DetachStreams();
@@ -297,20 +283,18 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
   report.events = textual.BufferSnapshot();
   report.events_received = textual.events_received();
   report.events_filtered = textual.events_filtered();
-  report.utilization = AnalyzeThreadUtilization(report.events);
+  const profiler::TraceIndex index(report.events);
+  report.utilization = AnalyzeThreadUtilization(index);
   // The *expected* degree of parallelism is what the analyst configured —
   // if the server silently ran sequentially (the demo's anomaly), the
   // diagnosis below is exactly what flags it.
   report.parallelism = DiagnoseParallelism(
-      report.events,
+      index,
       server_->options().dop > 0
           ? server_->options().dop
           : static_cast<int>(std::thread::hardware_concurrency()));
-  report.operators = AnalyzeOperators(report.events);
-  report.final_progress =
-      estimator != nullptr
-          ? estimator->ratio()
-          : EstimateProgress(report.events, report.outcome.plan.size());
+  report.operators = AnalyzeOperators(index);
+  report.final_progress = estimator.ratio();
   return report;
 }
 

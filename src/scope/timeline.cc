@@ -4,23 +4,13 @@
 #include <map>
 
 #include "common/string_util.h"
+#include "scope/analysis.h"
 
 namespace stetho::scope {
 
-using profiler::EventState;
 using profiler::TraceEvent;
 
 namespace {
-
-std::string OperatorOf(const std::string& stmt) {
-  size_t start = 0;
-  size_t assign = stmt.find(":=");
-  if (assign != std::string::npos) start = assign + 2;
-  while (start < stmt.size() && stmt[start] == ' ') ++start;
-  size_t paren = stmt.find('(', start);
-  if (paren == std::string::npos) return stmt.substr(start);
-  return stmt.substr(start, paren - start);
-}
 
 /// Deterministic pastel color per module name.
 std::string ModuleColor(const std::string& op) {
@@ -38,20 +28,16 @@ std::string ModuleColor(const std::string& op) {
 }  // namespace
 
 std::vector<TimelineInterval> ExtractIntervals(
-    const std::vector<TraceEvent>& events) {
+    const profiler::TraceIndex& trace) {
   std::vector<TimelineInterval> intervals;
-  if (events.empty()) return intervals;
-  int64_t t0 = events.front().time_us;
-  for (const TraceEvent& e : events) t0 = std::min(t0, e.time_us);
-  for (const TraceEvent& e : events) {
-    if (e.state != EventState::kDone) continue;
+  for (const auto& [pc, rec] : trace.pcs()) {
+    if (!rec.done.seen()) continue;
     TimelineInterval iv;
-    iv.thread = e.thread;
-    iv.pc = e.pc;
-    iv.end_us = e.time_us - t0;
-    iv.start_us = iv.end_us - e.usec;
-    if (iv.start_us < 0) iv.start_us = 0;
-    iv.op = OperatorOf(e.stmt);
+    iv.thread = rec.done.slot;
+    iv.pc = pc;
+    iv.end_us = rec.done.time_us - trace.first_time_us();
+    iv.start_us = std::max<int64_t>(0, iv.end_us - rec.usec);
+    iv.op = OperatorOf(rec.stmt);
     intervals.push_back(std::move(iv));
   }
   std::sort(intervals.begin(), intervals.end(),
@@ -64,7 +50,8 @@ std::vector<TimelineInterval> ExtractIntervals(
 
 std::string RenderUtilizationTimeline(const std::vector<TraceEvent>& events,
                                       const TimelineOptions& options) {
-  std::vector<TimelineInterval> intervals = ExtractIntervals(events);
+  std::vector<TimelineInterval> intervals =
+      ExtractIntervals(profiler::TraceIndex(events));
 
   // Lanes in thread order.
   std::map<int, size_t> lane;

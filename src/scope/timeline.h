@@ -6,6 +6,7 @@
 
 #include "common/status.h"
 #include "profiler/event.h"
+#include "profiler/trace_index.h"
 
 namespace stetho::scope {
 
@@ -27,10 +28,10 @@ struct TimelineInterval {
   std::string op;        ///< "module.function"
 };
 
-/// Extracts per-thread instruction intervals from a trace (done events carry
-/// thread + duration). Returned sorted by (thread, start).
+/// Extracts per-thread instruction intervals from a trace (each pc's done
+/// event carries slot + duration). Returned sorted by (thread, start).
 std::vector<TimelineInterval> ExtractIntervals(
-    const std::vector<profiler::TraceEvent>& events);
+    const profiler::TraceIndex& trace);
 
 /// Renders the paper's "utilization distribution of threads" as an SVG
 /// Gantt chart: one lane per worker thread, one bar per executed

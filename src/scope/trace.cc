@@ -66,11 +66,4 @@ Result<std::vector<TraceEvent>> TraceFileTail::Poll() {
   return events;
 }
 
-void SortTraceByEventId(std::vector<TraceEvent>* events) {
-  std::stable_sort(events->begin(), events->end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.event < b.event;
-                   });
-}
-
 }  // namespace stetho::scope

@@ -11,6 +11,7 @@
 
 #include "analysis/checks.h"
 #include "analysis/diagnostic.h"
+#include "analysis/runner.h"
 #include "common/clock.h"
 #include "engine/interpreter.h"
 #include "engine/kernel.h"
@@ -88,9 +89,9 @@ std::vector<analysis::Diagnostic> ConformanceDiags(
   analysis::CheckContext ctx;
   ctx.program = &program;
   ctx.trace = &trace;
-  std::vector<analysis::Diagnostic> diags;
-  analysis::MakeTraceConformanceCheck()->Run(ctx, &diags);
-  return diags;
+  analysis::Runner runner;
+  runner.Add(analysis::MakeTraceConformanceCheck());
+  return runner.Run(ctx);
 }
 
 /// Many queries execute concurrently on the shared process-wide pool with

@@ -10,8 +10,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,10 +22,14 @@
 #include "analysis/hb.h"
 #include "analysis/runner.h"
 #include "common/rng.h"
+#include "dot/parser.h"
+#include "engine/kernel.h"
+#include "mal/parser.h"
 #include "mal/program.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "profiler/event.h"
+#include "profiler/trace_index.h"
 
 namespace stetho {
 namespace {
@@ -118,6 +125,11 @@ std::vector<TraceEvent> ParallelDiamondTrace(const mal::Program& p) {
   };
 }
 
+ScheduleReport Replay(const mal::Program& p,
+                      const std::vector<TraceEvent>& trace) {
+  return analysis::AnalyzeSchedule(p, profiler::TraceIndex(trace));
+}
+
 std::vector<TraceEvent>::iterator FindEvent(std::vector<TraceEvent>& trace,
                                             int pc, EventState state) {
   return std::find_if(trace.begin(), trace.end(),
@@ -163,7 +175,7 @@ TEST(VectorClockTest, TickJoinLessEq) {
 
 TEST(AnalyzeScheduleTest, CleanParallelRunHasNoViolations) {
   mal::Program p = DiamondPlan();
-  ScheduleReport report = analysis::AnalyzeSchedule(p, ParallelDiamondTrace(p));
+  ScheduleReport report = Replay(p, ParallelDiamondTrace(p));
   EXPECT_TRUE(report.violations.empty());
   EXPECT_TRUE(report.inverted.empty());
   EXPECT_TRUE(report.duplicates.empty());
@@ -175,7 +187,7 @@ TEST(AnalyzeScheduleTest, CleanParallelRunHasNoViolations) {
 
 TEST(AnalyzeScheduleTest, CriticalPathMakespanAndSlack) {
   mal::Program p = DiamondPlan();
-  ScheduleReport report = analysis::AnalyzeSchedule(p, ParallelDiamondTrace(p));
+  ScheduleReport report = Replay(p, ParallelDiamondTrace(p));
   // Weights 10/20/5/10: the longest chain is pc0 -> pc1 -> pc3 = 40 us.
   ASSERT_EQ(report.critical_path.size(), 3u);
   EXPECT_EQ(report.critical_path[0].pc, 0);
@@ -191,7 +203,7 @@ TEST(AnalyzeScheduleTest, CriticalPathMakespanAndSlack) {
 
 TEST(AnalyzeScheduleTest, HappensBeforeOrdersEdgesAndSlots) {
   mal::Program p = DiamondPlan();
-  ScheduleReport r = analysis::AnalyzeSchedule(p, ParallelDiamondTrace(p));
+  ScheduleReport r = Replay(p, ParallelDiamondTrace(p));
   // Producer -> consumer edges the schedule respected are ordered.
   EXPECT_TRUE(analysis::HappensBefore(r.executions[0], r.executions[1]));
   EXPECT_TRUE(analysis::HappensBefore(r.executions[0], r.executions[3]));
@@ -207,19 +219,58 @@ TEST(AnalyzeScheduleTest, UpdatesHbMetrics) {
   obs::Registry* registry = obs::Registry::Default();
   mal::Program p = DiamondPlan();
   // Metrics are process-global: delta-assert around the call.
-  analysis::AnalyzeSchedule(p, ParallelDiamondTrace(p));  // ensure created
+  Replay(p, ParallelDiamondTrace(p));  // ensure created
   int64_t replays =
       registry->CounterValue("stetho_hb_replays_total").value();
   int64_t violations =
       registry->CounterValue("stetho_hb_violations_total").value();
   std::vector<TraceEvent> bad = ParallelDiamondTrace(p);
   MoveBefore(&bad, 3, EventState::kStart, 1, EventState::kDone);
-  ScheduleReport report = analysis::AnalyzeSchedule(p, bad);
+  ScheduleReport report = Replay(p, bad);
   EXPECT_FALSE(report.violations.empty());
   EXPECT_EQ(registry->CounterValue("stetho_hb_replays_total").value(),
             replays + 1);
   EXPECT_GT(registry->CounterValue("stetho_hb_violations_total").value(),
             violations);
+}
+
+std::string ReadExample(const std::string& name) {
+  std::ifstream in(std::string(STETHO_EXAMPLES_DIR) + "/" + name);
+  EXPECT_TRUE(in.good()) << "missing example " << name;
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// The whole default suite over a recorded plan + dot + trace shares one
+/// happens-before replay: the three schedule checks read the report the
+/// Runner derived once.
+TEST(AnalyzeScheduleTest, RunnerReplaysOncePerRun) {
+  auto program = mal::ParseProgram(ReadExample("c4_q1.mal"));
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  auto graph = dot::ParseDot(ReadExample("c4_q1.dot"));
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  std::vector<TraceEvent> trace;
+  std::istringstream lines(ReadExample("c4_q1.trace"));
+  for (std::string line; std::getline(lines, line);) {
+    if (line.empty()) continue;
+    auto event = profiler::ParseTraceLine(line);
+    ASSERT_TRUE(event.ok()) << line;
+    trace.push_back(std::move(event).value());
+  }
+  ASSERT_FALSE(trace.empty());
+
+  CheckContext ctx;
+  ctx.program = &program.value();
+  ctx.graph = &graph.value();
+  ctx.trace = &trace;
+  ctx.registry = engine::ModuleRegistry::Default();
+  obs::Registry* registry = obs::Registry::Default();
+  analysis::Runner::Default().Run(ctx);  // registers the hb metrics
+  const int64_t before =
+      registry->CounterValue("stetho_hb_replays_total").value();
+  analysis::Runner::Default().Run(ctx);
+  EXPECT_EQ(registry->CounterValue("stetho_hb_replays_total").value(),
+            before + 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -579,7 +630,7 @@ TEST(HbPropertyTest, LegalSchedulesRespectHappensBeforeEdges) {
   SplitMix64 rng(7);
   mal::Program p = RandomDagPlan(&rng, 16);
   std::vector<TraceEvent> trace = LegalSchedule(p, &rng, 3);
-  ScheduleReport report = analysis::AnalyzeSchedule(p, trace);
+  ScheduleReport report = Replay(p, trace);
   EXPECT_TRUE(report.violations.empty());
   std::vector<std::vector<int>> deps = p.BuildDependencies();
   for (size_t pc = 0; pc < p.size(); ++pc) {

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <thread>
 
+#include "analysis/progress.h"
 #include "dot/parser.h"
 #include "layout/svg.h"
 #include "layout/sugiyama.h"
@@ -44,6 +45,7 @@ TEST(IntegrationTest, OfflineWorkflowOverFiles) {
   std::string trace_path = dir + "/offline_it.trace";
 
   size_t plan_size = 0;
+  mal::Program plan;
   {
     server::MserverOptions options;
     options.dop = 2;
@@ -55,6 +57,7 @@ TEST(IntegrationTest, OfflineWorkflowOverFiles) {
     auto outcome = server.ExecuteSql(tpch::GetQuery("q1").value().sql);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     plan_size = outcome.value().plan.size();
+    plan = outcome.value().plan;
     std::ofstream(dot_path) << outcome.value().dot;
     ASSERT_TRUE(server.profiler()->GetFilter().Matches(
         profiler::TraceEvent{}));  // default filter passes all
@@ -94,7 +97,10 @@ TEST(IntegrationTest, OfflineWorkflowOverFiles) {
                   .value(),
               viz::Color::Green());
   }
-  EXPECT_DOUBLE_EQ(scope::EstimateProgress(events.value(), plan_size), 1.0);
+  analysis::ProgressEstimator progress(analysis::ProgressModel::Build(plan));
+  for (const profiler::TraceEvent& e : events.value()) progress.ObserveEvent(e);
+  EXPECT_EQ(progress.done_count(), static_cast<int>(plan_size));
+  EXPECT_NEAR(progress.ratio(), 1.0, 1e-9);
 
   std::remove(dot_path.c_str());
   std::remove(trace_path.c_str());
@@ -147,7 +153,7 @@ TEST(IntegrationTest, OnlineWorkflowOverRealUdp) {
   // UDP on loopback delivers the full trace here: 2 events per node.
   auto buffer = textual.BufferSnapshot();
   EXPECT_EQ(buffer.size(), 2 * graph.value().num_nodes());
-  auto util = scope::AnalyzeThreadUtilization(buffer);
+  auto util = scope::AnalyzeThreadUtilization(profiler::TraceIndex(buffer));
   EXPECT_GT(util.wall_us, 0);
   textual.Stop();
   ASSERT_TRUE(textual.Flush().ok());
@@ -195,7 +201,7 @@ TEST(IntegrationTest, RemoteFilterReducesStream) {
     EXPECT_EQ(e.state, profiler::EventState::kDone);
   }
   // Operator analysis works on the filtered stream.
-  EXPECT_FALSE(scope::AnalyzeOperators(events).empty());
+  EXPECT_FALSE(scope::AnalyzeOperators(profiler::TraceIndex(events)).empty());
 }
 
 /// Two independent servers streaming into ONE textual Stethoscope — the

@@ -3,7 +3,6 @@
 #include "common/rng.h"
 #include "dot/parser.h"
 #include "dot/writer.h"
-#include "engine/worker_pool.h"
 #include "layout/layout_cache.h"
 #include "layout/sugiyama.h"
 #include "layout/svg.h"
@@ -200,30 +199,6 @@ TEST(CrossingCountTest, ReportedCrossingsMatchOracle) {
   ASSERT_TRUE(layout.ok());
   EXPECT_EQ(layout.value().crossings,
             CountCrossingsNaive(g, layout.value()));
-}
-
-TEST(SugiyamaTest, ParallelOrderingMatchesSequential) {
-  // The worker-pool sweep path must be bit-identical to the sequential
-  // one — parallelism only changes wall-clock, never geometry.
-  dot::Graph g = RandomLayeredDag(7, 6, 8, 0.25);
-  engine::WorkerPool pool;
-  pool.EnsureWorkers(3);
-  LayoutOptions sequential;
-  sequential.parallel_min_nodes = 1 << 30;
-  LayoutOptions parallel;
-  parallel.parallel_min_nodes = 1;
-  parallel.pool = &pool;
-  auto a = LayoutGraph(g, sequential);
-  auto b = LayoutGraph(g, parallel);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a.value().nodes.size(), b.value().nodes.size());
-  EXPECT_EQ(a.value().crossings, b.value().crossings);
-  for (size_t i = 0; i < a.value().nodes.size(); ++i) {
-    EXPECT_EQ(a.value().nodes[i].layer, b.value().nodes[i].layer) << i;
-    EXPECT_DOUBLE_EQ(a.value().nodes[i].x, b.value().nodes[i].x) << i;
-    EXPECT_DOUBLE_EQ(a.value().nodes[i].y, b.value().nodes[i].y) << i;
-  }
 }
 
 TEST(SugiyamaTest, EarlyExitNeverWorseThanFullSweeps) {

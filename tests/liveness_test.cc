@@ -127,6 +127,30 @@ TEST(LivenessTest, AnnotatedSourceContributesInputBytes) {
   EXPECT_EQ(report.seq_peak_bytes, 100 * 8 + 100);
 }
 
+TEST(LivenessTest, HugeCardinalitySaturatesInsteadOfWrapping) {
+  // 2^60 string rows cost 2^66 bytes: the product must saturate at the
+  // unbounded sentinel, not wrap to a small "dominating" bound.
+  mal::Instruction ins;
+  ins.module = "algebra";
+  ins.function = "projection";
+  analysis::AbstractValue value;
+  value.defined = true;
+  value.is_bat = analysis::Tri::kTrue;
+  value.elem = DataType::kString;
+  value.card = analysis::Interval::Range(0, int64_t{1} << 60);
+  EXPECT_EQ(analysis::EstimateResultBytes(ins, {}, value),
+            analysis::kUnboundedBytes);
+  // Same for the 8 B/row numeric payload at 2^61 rows.
+  value.elem = DataType::kInt64;
+  value.card = analysis::Interval::Range(0, int64_t{1} << 61);
+  EXPECT_EQ(analysis::EstimateResultBytes(ins, {}, value),
+            analysis::kUnboundedBytes);
+  EXPECT_EQ(analysis::SaturatingMulBytes(int64_t{1} << 40, int64_t{1} << 30),
+            analysis::kUnboundedBytes);
+  EXPECT_EQ(analysis::SaturatingMulBytes(3, 8), 24);
+  EXPECT_EQ(analysis::SaturatingMulBytes(0, 8), 0);
+}
+
 TEST(LivenessTest, FormatBytesAndBudgetParsing) {
   EXPECT_EQ(analysis::FormatBytes(analysis::kUnboundedBytes), "unbounded");
   EXPECT_EQ(analysis::FormatBytes(512), "512 B");

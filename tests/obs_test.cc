@@ -1,10 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
-
 #include <atomic>
 #include <cstdlib>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -13,6 +12,7 @@
 #include <vector>
 
 #include "analysis/checks.h"
+#include "analysis/runner.h"
 #include "common/clock.h"
 #include "engine/interpreter.h"
 #include "mal/program.h"
@@ -45,6 +45,24 @@ using storage::Schema;
 using storage::Table;
 using storage::TablePtr;
 using storage::Value;
+
+/// A fresh directory under the test temp dir, removed with its contents
+/// when the test ends. A fixed path would let one run's files leak into
+/// the next.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& prefix) {
+    std::string pattern = testing::TempDir() + prefix + "_XXXXXX";
+    if (mkdtemp(pattern.data()) != nullptr) path_ = pattern;
+  }
+  ~ScratchDir() {
+    if (!path_.empty()) std::filesystem::remove_all(path_);
+  }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 /// Tiny lineitem fixture for fixed-plan execution tests.
 Catalog MakeCatalog() {
@@ -621,9 +639,9 @@ std::vector<analysis::Diagnostic> RunConformance(
   analysis::CheckContext ctx;
   ctx.trace = &trace;
   ctx.spans = &spans;
-  std::vector<analysis::Diagnostic> out;
-  analysis::MakeTraceSpanConformanceCheck()->Run(ctx, &out);
-  return out;
+  analysis::Runner runner;
+  runner.Add(analysis::MakeTraceSpanConformanceCheck());
+  return runner.Run(ctx);
 }
 
 TEST(TraceSpanConformanceTest, CleanWhenSpansMatchTrace) {
@@ -788,8 +806,9 @@ TEST(RegistryTest, HistogramSummaryTextListsNonEmptyHistograms) {
 }
 
 TEST(FlightRecorderTest, BundleDirWritesOrdinalFiles) {
-  const std::string dir = testing::TempDir() + "obs_flight_bundles";
-  mkdir(dir.c_str(), 0755);
+  const ScratchDir scratch("obs_flight_bundles");
+  ASSERT_FALSE(scratch.path().empty());
+  const std::string& dir = scratch.path();
   Registry registry;
   Tracer tracer;
   FlightRecorder recorder(&registry, &tracer);
@@ -812,8 +831,6 @@ TEST(FlightRecorderTest, BundleDirWritesOrdinalFiles) {
   // "" restores single-stream output and empties the bundle path.
   ASSERT_TRUE(recorder.SetOutputDir("").ok());
   EXPECT_EQ(recorder.NextBundlePath(), "");
-  std::remove((dir + "/flight_0001.txt").c_str());
-  std::remove((dir + "/flight_0002.txt").c_str());
 }
 
 TEST(FlightRecorderTest, FlightRingFromEnvParsesAndFallsBack) {

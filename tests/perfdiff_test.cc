@@ -11,6 +11,7 @@
 
 #include "analysis/checks.h"
 #include "analysis/perfdiff.h"
+#include "analysis/runner.h"
 #include "mal/parser.h"
 #include "obs/profile_store.h"
 #include "scope/trace.h"
@@ -26,9 +27,18 @@ using obs::QueryObservation;
 using obs::RobustStat;
 using profiler::EventState;
 using profiler::TraceEvent;
+using profiler::TraceIndex;
 
 std::string ExamplePath(const char* name) {
   return std::string(STETHO_EXAMPLES_DIR) + "/" + name;
+}
+
+/// trace-perf-regression alone, through a Runner (which derives the trace
+/// index the check reads).
+std::vector<Diagnostic> RunRegressionCheck(const CheckContext& context) {
+  Runner runner;
+  runner.Add(MakeTracePerfRegressionCheck());
+  return runner.Run(context);
 }
 
 std::string TempPath(const char* name) {
@@ -291,7 +301,7 @@ TEST_F(PerfdiffExampleTest, PlanAndTraceShapeHashesAgree) {
   EXPECT_NE(plan_hash, 0u);
   // The recorded trace covers every pc, so hashing its statement texts in
   // pc order reproduces the plan-shape key exactly.
-  EXPECT_EQ(TraceShapeHash(trace_), plan_hash);
+  EXPECT_EQ(TraceShapeHash(TraceIndex(trace_)), plan_hash);
 }
 
 TEST_F(PerfdiffExampleTest, ShapeHashIsFunctionNameBlind) {
@@ -305,7 +315,7 @@ TEST_F(PerfdiffExampleTest, ShapeHashIsFunctionNameBlind) {
 }
 
 TEST_F(PerfdiffExampleTest, ObservationFromTraceCoversEveryPc) {
-  QueryObservation observation = ObservationFromTrace(trace_);
+  QueryObservation observation = ObservationFromTrace(TraceIndex(trace_));
   EXPECT_EQ(observation.shape_hash, PlanShapeHash(program_));
   EXPECT_EQ(observation.plan_size, program_.size());
   EXPECT_EQ(observation.pcs.size(), program_.size());
@@ -320,23 +330,21 @@ TEST_F(PerfdiffExampleTest, ObservationFromTraceCoversEveryPc) {
 
 TEST_F(PerfdiffExampleTest, RegressionCheckIsQuietOnItsOwnBaseline) {
   ProfileStore store;
-  QueryObservation observation = ObservationFromTrace(trace_);
+  QueryObservation observation = ObservationFromTrace(TraceIndex(trace_));
   observation.shape_hash = PlanShapeHash(program_);
   ASSERT_TRUE(store.Fold(observation).ok());
 
-  auto check = MakeTracePerfRegressionCheck();
   CheckContext context;
   context.program = &program_;
   context.trace = &trace_;
   context.profile = &store;
-  std::vector<Diagnostic> findings;
-  check->Run(context, &findings);
+  std::vector<Diagnostic> findings = RunRegressionCheck(context);
   EXPECT_TRUE(findings.empty()) << findings.front().ToString();
 }
 
 TEST_F(PerfdiffExampleTest, RegressionCheckFlagsInjectedSlowdown) {
   ProfileStore store;
-  QueryObservation observation = ObservationFromTrace(trace_);
+  QueryObservation observation = ObservationFromTrace(TraceIndex(trace_));
   observation.shape_hash = PlanShapeHash(program_);
   ASSERT_TRUE(store.Fold(observation).ok());
 
@@ -358,13 +366,11 @@ TEST_F(PerfdiffExampleTest, RegressionCheckFlagsInjectedSlowdown) {
     }
   }
 
-  auto check = MakeTracePerfRegressionCheck();
   CheckContext context;
   context.program = &program_;
   context.trace = &slow_trace;
   context.profile = &store;
-  std::vector<Diagnostic> findings;
-  check->Run(context, &findings);
+  std::vector<Diagnostic> findings = RunRegressionCheck(context);
   ASSERT_FALSE(findings.empty());
   bool flagged = false;
   for (const Diagnostic& finding : findings) {
@@ -379,13 +385,11 @@ TEST_F(PerfdiffExampleTest, RegressionCheckFlagsInjectedSlowdown) {
 
 TEST_F(PerfdiffExampleTest, RegressionCheckNotesMissingBaseline) {
   ProfileStore store;  // empty: shape never observed
-  auto check = MakeTracePerfRegressionCheck();
   CheckContext context;
   context.program = &program_;
   context.trace = &trace_;
   context.profile = &store;
-  std::vector<Diagnostic> findings;
-  check->Run(context, &findings);
+  std::vector<Diagnostic> findings = RunRegressionCheck(context);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].severity, Severity::kNote);
   EXPECT_EQ(findings[0].check_id, "trace-perf-regression");
@@ -394,7 +398,7 @@ TEST_F(PerfdiffExampleTest, RegressionCheckNotesMissingBaseline) {
 // --- DiffTraces -----------------------------------------------------------
 
 TEST_F(PerfdiffExampleTest, DiffAgainstSelfIsFlat) {
-  TraceDiff diff = DiffTraces(trace_, trace_, &program_);
+  TraceDiff diff = DiffTraces(TraceIndex(trace_), TraceIndex(trace_), &program_);
   EXPECT_TRUE(diff.shapes_match);
   EXPECT_EQ(diff.a_hash, diff.b_hash);
   EXPECT_EQ(diff.a_makespan_usec, diff.b_makespan_usec);
@@ -410,7 +414,7 @@ TEST_F(PerfdiffExampleTest, DiffAgainstSelfIsFlat) {
 }
 
 TEST_F(PerfdiffExampleTest, DiffSurfacesInjectedSlowdownFirst) {
-  QueryObservation observation = ObservationFromTrace(trace_);
+  QueryObservation observation = ObservationFromTrace(TraceIndex(trace_));
   int slow_pc = -1;
   int64_t slow_usec = 0;
   for (const PcSample& sample : observation.pcs) {
@@ -426,7 +430,8 @@ TEST_F(PerfdiffExampleTest, DiffSurfacesInjectedSlowdownFirst) {
     }
   }
 
-  TraceDiff diff = DiffTraces(trace_, slow_trace, &program_);
+  TraceDiff diff =
+      DiffTraces(TraceIndex(trace_), TraceIndex(slow_trace), &program_);
   EXPECT_TRUE(diff.shapes_match);
   ASSERT_FALSE(diff.deltas.empty());
   // Deltas sort by absolute change, so the injected pc leads the report.
@@ -464,7 +469,7 @@ TEST(DiffTracesTest, ReportsUnmatchedPcs) {
   for (const TraceEvent& e : make_pair(2, 30, "X_3 := e.f(X_1);"))
     b.push_back(e);
 
-  TraceDiff diff = DiffTraces(a, b, nullptr);
+  TraceDiff diff = DiffTraces(TraceIndex(a), TraceIndex(b), nullptr);
   EXPECT_FALSE(diff.shapes_match);
   EXPECT_EQ(diff.a_critical_usec, -1);
   ASSERT_EQ(diff.deltas.size(), 1u);
@@ -473,6 +478,41 @@ TEST(DiffTracesTest, ReportsUnmatchedPcs) {
   EXPECT_EQ(diff.only_a[0], 1);
   ASSERT_EQ(diff.only_b.size(), 1u);
   EXPECT_EQ(diff.only_b[0], 2);
+}
+
+/// Done events alone (a done-only profiler filter) still align: per-pc
+/// deltas come back biggest mover first, with statement text and the pcs
+/// only one side executed.
+TEST(DiffTracesTest, FindsRegressions) {
+  auto done = [](int pc, int64_t usec, const char* stmt) {
+    TraceEvent e;
+    e.pc = pc;
+    e.state = EventState::kDone;
+    e.usec = usec;
+    e.stmt = stmt;
+    return e;
+  };
+  std::vector<TraceEvent> a = {
+      done(0, 100, "X_0 := sql.mvc();"),
+      done(1, 500, "X_1 := algebra.join(X_0,X_0);"),
+      done(2, 50, "io.print(X_1);"),
+  };
+  std::vector<TraceEvent> b = {
+      done(0, 110, "X_0 := sql.mvc();"),
+      done(1, 2500, "X_1 := algebra.join(X_0,X_0);"),
+      done(3, 70, "language.pass(X_1);"),
+  };
+  TraceDiff diff = DiffTraces(TraceIndex(a), TraceIndex(b), nullptr);
+  ASSERT_EQ(diff.deltas.size(), 2u);  // pcs 0 and 1 in both
+  EXPECT_EQ(diff.deltas[0].pc, 1);    // biggest mover first
+  EXPECT_EQ(diff.deltas[0].delta_usec, 2000);
+  EXPECT_EQ(diff.deltas[0].stmt, "X_1 := algebra.join(X_0,X_0);");
+  EXPECT_EQ(diff.deltas[1].delta_usec, 10);
+  EXPECT_EQ(diff.only_a, (std::vector<int>{2}));
+  EXPECT_EQ(diff.only_b, (std::vector<int>{3}));
+  const std::string report = FormatTraceDiff(diff);
+  EXPECT_NE(report.find("+2000us"), std::string::npos) << report;
+  EXPECT_NE(report.find("algebra.join"), std::string::npos) << report;
 }
 
 }  // namespace

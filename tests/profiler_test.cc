@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <map>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -11,6 +15,7 @@
 #include "profiler/filter.h"
 #include "profiler/profiler.h"
 #include "profiler/sink.h"
+#include "profiler/trace_index.h"
 
 namespace stetho::profiler {
 namespace {
@@ -318,6 +323,147 @@ TEST(ProfilerTest, ConcurrentEmitUniqueEventIds) {
   for (size_t i = 0; i < ids.size(); ++i) {
     EXPECT_EQ(ids[i], static_cast<int64_t>(i));
   }
+}
+
+// --- trace index ---
+
+TEST(TraceSortTest, RestoresEmissionOrder) {
+  std::vector<TraceEvent> events;
+  for (int64_t id : {3, 0, 2, 1}) {
+    TraceEvent e = MakeEvent(static_cast<int>(id), EventState::kDone);
+    e.event = id;
+    events.push_back(e);
+  }
+  TraceIndex index(events);
+  ASSERT_EQ(index.size(), events.size());
+  for (size_t i = 0; i < index.size(); ++i) {
+    EXPECT_EQ(index.at(i).event, static_cast<int64_t>(i));
+  }
+}
+
+TEST(TraceIndexTest, RecordsFirstPairAndSurplusPerPc) {
+  auto ev = [](int64_t id, int pc, EventState state, int64_t time_us,
+               int slot, int64_t usec, std::string stmt) {
+    TraceEvent e = MakeEvent(pc, state, usec, std::move(stmt));
+    e.event = id;
+    e.time_us = time_us;
+    e.thread = slot;
+    return e;
+  };
+  std::vector<TraceEvent> events = {
+      ev(4, 0, EventState::kDone, 40, 1, 7, "a"),   // recorded late
+      ev(0, 0, EventState::kStart, 10, 1, 0, ""),
+      ev(1, 1, EventState::kDone, 20, 0, 3, "b"),   // done before start
+      ev(2, 1, EventState::kStart, 30, 0, 0, "b"),
+      ev(3, 2, EventState::kStart, 35, 2, 0, "c"),
+      ev(5, 2, EventState::kDone, 50, 2, 9, "c"),
+      ev(6, 2, EventState::kDone, 60, 2, 11, "c"),  // surplus done
+      ev(7, -1, EventState::kStart, 5, 0, 0, "neg"),
+  };
+  TraceIndex index(events);
+  EXPECT_EQ(index.first_time_us(), 5);
+  EXPECT_EQ(index.last_time_us(), 60);
+  ASSERT_EQ(index.pcs().size(), 3u);  // the negative pc is not a record
+  EXPECT_EQ(index.Find(-1), nullptr);
+
+  const PcRecord& r0 = *index.Find(0);
+  EXPECT_EQ(r0.start.pos, 0);
+  EXPECT_EQ(r0.done.pos, 4);
+  EXPECT_EQ(r0.done.time_us, 40);
+  EXPECT_EQ(r0.done.slot, 1);
+  EXPECT_EQ(r0.usec, 7);
+  EXPECT_EQ(r0.stmt, "a");  // first non-empty text
+  EXPECT_FALSE(r0.done_before_start);
+  EXPECT_EQ(r0.open_at_start, 1);
+
+  const PcRecord& r1 = *index.Find(1);
+  EXPECT_TRUE(r1.done_before_start);
+  EXPECT_EQ(r1.start.pos, 2);
+  EXPECT_EQ(r1.done.pos, 1);
+  EXPECT_EQ(r1.open_at_start, 2);  // pc 0 still open
+
+  const PcRecord& r2 = *index.Find(2);
+  EXPECT_EQ(r2.starts, 1);
+  EXPECT_EQ(r2.dones, 2);
+  EXPECT_EQ(r2.usec, 9);  // the first done wins
+  EXPECT_EQ(r2.open_at_start, 3);  // pc 1's backwards interval never closes
+  EXPECT_EQ(index.peak_concurrency(), 3);
+}
+
+/// The record each batch consumer used to derive on its own: a copy of the
+/// trace put into emission order, then the first start/done of every pc.
+std::map<int, PcRecord> OracleRecords(const std::vector<TraceEvent>& trace) {
+  std::vector<std::pair<int64_t, size_t>> keyed;
+  for (size_t i = 0; i < trace.size(); ++i) keyed.emplace_back(trace[i].event, i);
+  std::sort(keyed.begin(), keyed.end());
+  std::map<int, PcRecord> records;
+  int open = 0;
+  for (size_t pos = 0; pos < keyed.size(); ++pos) {
+    const TraceEvent& e = trace[keyed[pos].second];
+    if (e.pc < 0) continue;
+    PcRecord& rec = records[e.pc];
+    if (rec.stmt.empty()) rec.stmt = e.stmt;
+    PairEnd end{static_cast<int64_t>(pos), e.time_us, e.thread};
+    if (e.state == EventState::kStart) {
+      if (++rec.starts == 1) {
+        rec.start = end;
+        rec.open_at_start = ++open;
+      }
+    } else if (++rec.dones == 1) {
+      rec.done = end;
+      rec.usec = e.usec;
+      rec.rss_bytes = e.rss_bytes;
+      rec.done_before_start = !rec.start.seen();
+      if (rec.start.seen()) --open;
+    }
+  }
+  return records;
+}
+
+TEST(TraceIndexTest, MatchesPerPcDerivationOnRecordedTrace) {
+  std::ifstream in(std::string(STETHO_EXAMPLES_DIR) + "/c4_q1.trace");
+  ASSERT_TRUE(in.good());
+  std::vector<TraceEvent> trace;
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty()) continue;
+    auto event = ParseTraceLine(line);
+    ASSERT_TRUE(event.ok()) << line;
+    trace.push_back(std::move(event).value());
+  }
+  // The recording carries events out of emission order, so the index has
+  // real reordering to undo.
+  bool out_of_order = false;
+  for (size_t i = 1; i < trace.size(); ++i) {
+    out_of_order = out_of_order || trace[i].event < trace[i - 1].event;
+  }
+  ASSERT_TRUE(out_of_order);
+
+  TraceIndex index(trace);
+  for (size_t i = 1; i < index.size(); ++i) {
+    EXPECT_LT(index.at(i - 1).event, index.at(i).event);
+  }
+  const std::map<int, PcRecord> oracle = OracleRecords(trace);
+  ASSERT_EQ(index.pcs().size(), oracle.size());
+  int peak = 0;
+  for (const auto& [pc, want] : oracle) {
+    const PcRecord* got = index.Find(pc);
+    ASSERT_NE(got, nullptr) << pc;
+    EXPECT_EQ(got->starts, want.starts) << pc;
+    EXPECT_EQ(got->dones, want.dones) << pc;
+    EXPECT_EQ(got->start.pos, want.start.pos) << pc;
+    EXPECT_EQ(got->start.time_us, want.start.time_us) << pc;
+    EXPECT_EQ(got->start.slot, want.start.slot) << pc;
+    EXPECT_EQ(got->done.pos, want.done.pos) << pc;
+    EXPECT_EQ(got->done.time_us, want.done.time_us) << pc;
+    EXPECT_EQ(got->done.slot, want.done.slot) << pc;
+    EXPECT_EQ(got->usec, want.usec) << pc;
+    EXPECT_EQ(got->rss_bytes, want.rss_bytes) << pc;
+    EXPECT_EQ(got->stmt, want.stmt) << pc;
+    EXPECT_EQ(got->done_before_start, want.done_before_start) << pc;
+    EXPECT_EQ(got->open_at_start, want.open_at_start) << pc;
+    peak = std::max(peak, want.open_at_start);
+  }
+  EXPECT_EQ(index.peak_concurrency(), peak);
 }
 
 }  // namespace

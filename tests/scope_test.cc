@@ -212,7 +212,7 @@ TEST(AnalysisTest, ThreadUtilization) {
       Ev(EventState::kDone, 0, 0, 100, 100),
       Ev(EventState::kDone, 1, 1, 150, 150),
   };
-  UtilizationReport report = AnalyzeThreadUtilization(events);
+  UtilizationReport report = AnalyzeThreadUtilization(profiler::TraceIndex(events));
   EXPECT_EQ(report.wall_us, 150);
   EXPECT_EQ(report.max_concurrency, 2u);
   ASSERT_EQ(report.threads.size(), 2u);
@@ -229,7 +229,7 @@ TEST(AnalysisTest, SequentialTraceHasConcurrencyOne) {
     t += 10;
     events.push_back(Ev(EventState::kDone, pc, 0, 10, t));
   }
-  UtilizationReport report = AnalyzeThreadUtilization(events);
+  UtilizationReport report = AnalyzeThreadUtilization(profiler::TraceIndex(events));
   EXPECT_EQ(report.max_concurrency, 1u);
 }
 
@@ -239,7 +239,7 @@ TEST(AnalysisTest, OperatorAggregation) {
       Ev(EventState::kDone, 2, 0, 300, 0, "X_2:bat[:oid] := algebra.select(X_0,3,4);"),
       Ev(EventState::kDone, 3, 0, 50, 0, "io.print(X_2);"),
   };
-  auto ops = AnalyzeOperators(events);
+  auto ops = AnalyzeOperators(profiler::TraceIndex(events));
   ASSERT_EQ(ops.size(), 2u);
   EXPECT_EQ(ops[0].op, "algebra.select");
   EXPECT_EQ(ops[0].calls, 2);
@@ -269,7 +269,7 @@ TEST(AnalysisTest, ParallelismAnomalyDetected) {
     t += 10;
     sequential.push_back(Ev(EventState::kDone, pc, 0, 10, t));
   }
-  auto diag = DiagnoseParallelism(sequential, 8);
+  auto diag = DiagnoseParallelism(profiler::TraceIndex(sequential), 8);
   EXPECT_TRUE(diag.sequential_anomaly);
   EXPECT_NE(diag.summary.find("ANOMALY"), std::string::npos);
 
@@ -277,7 +277,7 @@ TEST(AnalysisTest, ParallelismAnomalyDetected) {
       Ev(EventState::kStart, 0, 0, 0, 0), Ev(EventState::kStart, 1, 1, 0, 1),
       Ev(EventState::kDone, 0, 0, 50, 50), Ev(EventState::kDone, 1, 1, 50, 51),
   };
-  EXPECT_FALSE(DiagnoseParallelism(parallel, 2).sequential_anomaly);
+  EXPECT_FALSE(DiagnoseParallelism(profiler::TraceIndex(parallel), 2).sequential_anomaly);
 }
 
 TEST(AnalysisTest, OperatorPercentiles) {
@@ -286,72 +286,12 @@ TEST(AnalysisTest, OperatorPercentiles) {
     events.push_back(Ev(EventState::kDone, i, 0, i * 10, 0,
                         "X := algebra.select(X_0);"));
   }
-  auto ops = AnalyzeOperators(events);
+  auto ops = AnalyzeOperators(profiler::TraceIndex(events));
   ASSERT_EQ(ops.size(), 1u);
   EXPECT_EQ(ops[0].calls, 100);
   EXPECT_EQ(ops[0].max_usec, 1000);
   EXPECT_EQ(ops[0].p50_usec, 500);   // median of 10..1000
   EXPECT_EQ(ops[0].p95_usec, 960);   // nearest-rank 95th
-}
-
-TEST(TraceSortTest, RestoresEmissionOrder) {
-  std::vector<TraceEvent> events;
-  for (int64_t id : {3, 0, 2, 1}) {
-    TraceEvent e = Ev(EventState::kDone, static_cast<int>(id));
-    e.event = id;
-    events.push_back(e);
-  }
-  SortTraceByEventId(&events);
-  for (size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].event, static_cast<int64_t>(i));
-  }
-}
-
-TEST(AnalysisTest, CompareTracesFindsRegressions) {
-  std::vector<TraceEvent> a = {
-      Ev(EventState::kDone, 0, 0, 100, 0, "X_0 := sql.mvc();"),
-      Ev(EventState::kDone, 1, 0, 500, 0, "X_1 := algebra.join(X_0,X_0);"),
-      Ev(EventState::kDone, 2, 0, 50, 0, "io.print(X_1);"),
-  };
-  std::vector<TraceEvent> b = {
-      Ev(EventState::kDone, 0, 0, 110, 0, "X_0 := sql.mvc();"),
-      Ev(EventState::kDone, 1, 0, 2500, 0, "X_1 := algebra.join(X_0,X_0);"),
-      Ev(EventState::kDone, 3, 0, 70, 0, "language.pass(X_1);"),
-  };
-  auto cmp = CompareTraces(a, b);
-  EXPECT_EQ(cmp.total_usec_a, 650);
-  EXPECT_EQ(cmp.total_usec_b, 2680);
-  ASSERT_EQ(cmp.deltas.size(), 2u);  // pcs 0 and 1 in both
-  EXPECT_EQ(cmp.deltas[0].pc, 1);    // biggest mover first
-  EXPECT_EQ(cmp.deltas[0].delta_usec(), 2000);
-  EXPECT_EQ(cmp.deltas[0].op, "algebra.join");
-  EXPECT_EQ(cmp.only_in_a, (std::vector<int>{2}));
-  EXPECT_EQ(cmp.only_in_b, (std::vector<int>{3}));
-  std::string report = cmp.ToString();
-  EXPECT_NE(report.find("+2030us"), std::string::npos);
-  EXPECT_NE(report.find("algebra.join"), std::string::npos);
-}
-
-TEST(AnalysisTest, CompareIdenticalTraces) {
-  auto t = std::vector<TraceEvent>{
-      Ev(EventState::kDone, 0, 0, 100),
-      Ev(EventState::kDone, 1, 0, 200),
-  };
-  auto cmp = CompareTraces(t, t);
-  EXPECT_EQ(cmp.total_usec_a, cmp.total_usec_b);
-  for (const auto& d : cmp.deltas) EXPECT_EQ(d.delta_usec(), 0);
-  EXPECT_TRUE(cmp.only_in_a.empty());
-  EXPECT_TRUE(cmp.only_in_b.empty());
-}
-
-TEST(AnalysisTest, ProgressEstimate) {
-  std::vector<TraceEvent> events = {
-      Ev(EventState::kDone, 0), Ev(EventState::kDone, 1),
-      Ev(EventState::kStart, 2),
-  };
-  EXPECT_DOUBLE_EQ(EstimateProgress(events, 4), 0.5);
-  EXPECT_DOUBLE_EQ(EstimateProgress({}, 4), 0.0);
-  EXPECT_DOUBLE_EQ(EstimateProgress(events, 0), 0.0);
 }
 
 // --- trace file IO ---

@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
-
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -21,6 +21,24 @@
 
 namespace stetho::server {
 namespace {
+
+/// A fresh directory under the test temp dir, removed with its contents
+/// when the test ends. A fixed path would let one run's files leak into
+/// the next (query names restart at s0 in every Mserver).
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& prefix) {
+    std::string pattern = testing::TempDir() + prefix + "_XXXXXX";
+    if (mkdtemp(pattern.data()) != nullptr) path_ = pattern;
+  }
+  ~ScratchDir() {
+    if (!path_.empty()) std::filesystem::remove_all(path_);
+  }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 /// Current value of the process-global slow-query counter (0 before the
 /// first slow query registers it) — delta-assert against this, the
@@ -262,8 +280,9 @@ TEST(MserverProfileTest, ExecuteFoldsIntoInjectedStore) {
 }
 
 TEST(MserverProfileTest, SlowQueryLogsAndEmitsPostmortem) {
-  const std::string dir = testing::TempDir() + "mserver_flight";
-  mkdir(dir.c_str(), 0755);
+  const ScratchDir scratch("mserver_flight");
+  ASSERT_FALSE(scratch.path().empty());
+  const std::string& dir = scratch.path();
 
   obs::ProfileStore store;
   MserverOptions options;
@@ -301,12 +320,12 @@ TEST(MserverProfileTest, SlowQueryLogsAndEmitsPostmortem) {
   EXPECT_NE(bundle.find("== flight recorder =="), std::string::npos);
   // The attached ring captured the query's profiler events.
   EXPECT_NE(bundle.find("\"done\""), std::string::npos) << bundle;
-  std::remove(path.c_str());
 }
 
 TEST(MserverProfileTest, FastQueryWritesNoPostmortem) {
-  const std::string dir = testing::TempDir() + "mserver_flight_quiet";
-  mkdir(dir.c_str(), 0755);
+  const ScratchDir scratch("mserver_flight_quiet");
+  ASSERT_FALSE(scratch.path().empty());
+  const std::string& dir = scratch.path();
 
   obs::ProfileStore store;
   MserverOptions options;

@@ -30,7 +30,7 @@ TEST(TimelineTest, ExtractIntervalsFromDoneEvents) {
       Done(1, 1, 180, 60),
       Done(2, 0, 300, 50),
   };
-  auto intervals = ExtractIntervals(events);
+  auto intervals = ExtractIntervals(profiler::TraceIndex(events));
   ASSERT_EQ(intervals.size(), 3u);
   // Sorted by (thread, start); timestamps relative to trace start.
   EXPECT_EQ(intervals[0].thread, 0);
@@ -46,7 +46,7 @@ TEST(TimelineTest, IntervalsRelativeToEarliestEvent) {
   start.time_us = 1000;
   events.push_back(start);
   events.push_back(Done(0, 0, 1100, 100));
-  auto intervals = ExtractIntervals(events);
+  auto intervals = ExtractIntervals(profiler::TraceIndex(events));
   ASSERT_EQ(intervals.size(), 1u);
   EXPECT_EQ(intervals[0].start_us, 0);
   EXPECT_EQ(intervals[0].end_us, 100);
@@ -55,7 +55,7 @@ TEST(TimelineTest, IntervalsRelativeToEarliestEvent) {
 
 TEST(TimelineTest, ClampsNegativeStarts) {
   std::vector<TraceEvent> events = {Done(0, 0, 10, 500)};
-  auto intervals = ExtractIntervals(events);
+  auto intervals = ExtractIntervals(profiler::TraceIndex(events));
   ASSERT_EQ(intervals.size(), 1u);
   EXPECT_EQ(intervals[0].start_us, 0);
 }
@@ -121,7 +121,7 @@ TEST(TimelineTest, RealQueryTimeline) {
   auto outcome = server.ExecuteSql(tpch::GetQuery("q6").value().sql);
   ASSERT_TRUE(outcome.ok());
   auto events = ring->Snapshot();
-  auto intervals = ExtractIntervals(events);
+  auto intervals = ExtractIntervals(profiler::TraceIndex(events));
   EXPECT_EQ(intervals.size(), outcome.value().plan.size());
   std::string svg = RenderUtilizationTimeline(events);
   EXPECT_NE(svg.find("algebra.select"), std::string::npos);

@@ -8,6 +8,9 @@ Checks, over src/ tools/ tests/ bench/ examples/:
   2. No `throw` statements in src/ — public APIs report errors through
      stetho::Status / stetho::Result<T>.
   3. Project includes are written relative to src/ (no "../" includes).
+  4. No sort comparator on a trace event's sequence number (`.event` /
+     `->event`) outside src/profiler/trace_index.cc: profiler::TraceIndex
+     is the one place a trace is put back into emission order.
 
 Exit status: 0 clean, 1 violations (listed one per line), 2 usage error.
 """
@@ -18,6 +21,9 @@ from pathlib import Path
 
 THROW_RE = re.compile(r"\bthrow\b")
 REL_INCLUDE_RE = re.compile(r'#\s*include\s+"\.\./')
+SORT_CALL_RE = re.compile(r"\b(?:stable_)?sort\s*\(")
+EVENT_FIELD_RE = re.compile(r"(?:\.|->)event\b")
+EVENT_ORDER_HOME = Path("src/profiler/trace_index.cc")
 
 
 def expected_guard(header: Path, src_root: Path) -> str:
@@ -55,6 +61,20 @@ def strip_comments_and_strings(text: str) -> str:
             out.append(c)
             i += 1
     return "".join(out)
+
+
+def check_event_sorts(path: Path, code: str, problems: list) -> None:
+    """Flags sort calls whose arguments (the comparator) read `.event`."""
+    for match in SORT_CALL_RE.finditer(code):
+        depth, i = 1, match.end()
+        while i < len(code) and depth > 0:
+            depth += {"(": 1, ")": -1}.get(code[i], 0)
+            i += 1
+        if EVENT_FIELD_RE.search(code[match.end():i]):
+            problems.append(
+                f"{path}: sorts by the trace event sequence number — read "
+                "emission order from profiler::TraceIndex instead"
+            )
 
 
 def check_header_guard(path: Path, src_root: Path, problems: list) -> None:
@@ -98,6 +118,15 @@ def main(argv):
                     f"{path}:{lineno}: relative include — write includes "
                     "project-relative from src/"
                 )
+
+    for subdir in ("src", "tools", "tests", "bench", "examples"):
+        for path in sorted((root / subdir).rglob("*")):
+            if path.suffix not in (".h", ".cc", ".cpp"):
+                continue
+            if path.relative_to(root) == EVENT_ORDER_HOME:
+                continue
+            text = path.read_text(encoding="utf-8", errors="replace")
+            check_event_sorts(path, strip_comments_and_strings(text), problems)
 
     for p in problems:
         print(p)

@@ -112,9 +112,10 @@ std::unique_ptr<server::Mserver> MakeServer(const CliOptions& cli) {
 }
 
 void PrintAnalyses(const std::vector<profiler::TraceEvent>& events) {
+  const profiler::TraceIndex index(events);
   std::printf("\n-- thread utilization --\n%s",
-              scope::AnalyzeThreadUtilization(events).ToString().c_str());
-  auto ops = scope::AnalyzeOperators(events);
+              scope::AnalyzeThreadUtilization(index).ToString().c_str());
+  auto ops = scope::AnalyzeOperators(index);
   std::printf("\n-- operators (top 10 by total time) --\n");
   for (size_t i = 0; i < ops.size() && i < 10; ++i) {
     std::printf("  %-24s calls=%-5lld total=%-8lldus max=%-8lldus "
@@ -285,7 +286,8 @@ int CmdDiff(const std::string& a_path, const std::string& b_path,
     have_plan = true;
   }
   analysis::TraceDiff diff = analysis::DiffTraces(
-      a.value(), b.value(), have_plan ? &plan : nullptr);
+      profiler::TraceIndex(a.value()), profiler::TraceIndex(b.value()),
+      have_plan ? &plan : nullptr);
   std::printf("a: %s (%zu events)\nb: %s (%zu events)\n%s", a_path.c_str(),
               a.value().size(), b_path.c_str(), b.value().size(),
               analysis::FormatTraceDiff(diff).c_str());
