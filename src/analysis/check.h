@@ -1,6 +1,8 @@
 #ifndef STETHO_ANALYSIS_CHECK_H_
 #define STETHO_ANALYSIS_CHECK_H_
 
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "analysis/diagnostic.h"
@@ -25,13 +27,6 @@ struct CheckContext {
   const mal::Program* program = nullptr;
   const dot::Graph* graph = nullptr;
   const std::vector<profiler::TraceEvent>* trace = nullptr;
-  /// Derived from `trace` (and `program`) once per run and shared by every
-  /// trace check: the emission-order index and the happens-before replay.
-  /// Runner::Run fills whichever the caller left null, so both are set
-  /// whenever `trace` is (the schedule only with a program too); a caller
-  /// invoking Check::Run directly must do the same.
-  const profiler::TraceIndex* trace_index = nullptr;
-  const ScheduleReport* schedule = nullptr;
   const engine::ModuleRegistry* registry = nullptr;
   /// Platform spans (obs tracer snapshot or a parsed Chrome trace export);
   /// lets checks cross-validate the profiler's event stream against the
@@ -45,6 +40,29 @@ struct CheckContext {
   /// severities for states that are routine mid-rewrite (e.g. dead code a
   /// later pass removes) but hazards in a final plan.
   bool in_pipeline = false;
+
+  /// Facts derived from `trace` (and `program`), built on first use and
+  /// shared by every later check on this context, so the index is built
+  /// and the happens-before model replayed at most once per context. Set
+  /// the inputs before any check runs: a derived fact is not rebuilt when
+  /// `trace` or `program` changes afterwards. A copied context starts
+  /// without them (Runner::Run works on a copy, so every run derives its
+  /// own).
+  ///
+  /// The emission-order index of `trace`; requires `trace`.
+  const profiler::TraceIndex& trace_index() const;
+  /// The happens-before replay of `trace` against `program`; requires both.
+  const ScheduleReport& schedule() const;
+
+ private:
+  struct Derived {
+    Derived() = default;
+    Derived(const Derived&) {}  // a copy derives afresh
+    std::mutex mu;
+    std::shared_ptr<const profiler::TraceIndex> index;
+    std::shared_ptr<const ScheduleReport> schedule;
+  };
+  mutable Derived derived_;
 };
 
 /// Bitmask of CheckContext fields a check requires to run at all.

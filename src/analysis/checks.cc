@@ -516,7 +516,7 @@ class TraceConformanceCheck final : public Check {
 
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     Emitter emit(id(), out);
-    const profiler::TraceIndex& index = *ctx.trace_index;
+    const profiler::TraceIndex& index = ctx.trace_index();
 
     std::set<int> stmt_mismatch;  // pcs already reported
     int64_t prev_time = 0;
@@ -654,7 +654,7 @@ class TraceSpanConformanceCheck final : public Check {
     // Executed instructions according to the profiler: pcs with a done
     // event, keyed to the slot that ran them. (Unpaired events are
     // trace-conformance's findings, not duplicated here.)
-    const profiler::TraceIndex& index = *ctx.trace_index;
+    const profiler::TraceIndex& index = ctx.trace_index();
     for (const auto& [pc, rec] : index.pcs()) {
       if (rec.dones == 0) continue;
       // The thread contract stamps start and done with the same query-local

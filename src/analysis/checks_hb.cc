@@ -40,7 +40,7 @@ class TraceDependencyViolationCheck final : public Check {
 
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     Emitter emit(id(), out);
-    const ScheduleReport& report = *ctx.schedule;
+    const ScheduleReport& report = ctx.schedule();
     for (const DependencyViolation& v : report.violations) {
       emit.Emit(Severity::kError, v.pc, -1,
                 v.producer_done_missing
@@ -87,7 +87,7 @@ class TraceWriteRaceCheck final : public Check {
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     const Program& p = *ctx.program;
     Emitter emit(id(), out);
-    const ScheduleReport& report = *ctx.schedule;
+    const ScheduleReport& report = ctx.schedule();
 
     // Access sets per BAT variable: the defining instruction writes, every
     // argument reference reads. (SSA means one writer per variable in a
@@ -224,7 +224,7 @@ class TraceClockMonotonicityCheck final : public Check {
 
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     Emitter emit(id(), out);
-    const profiler::TraceIndex& index = *ctx.trace_index;
+    const profiler::TraceIndex& index = ctx.trace_index();
     struct Last {
       int64_t time_us = 0;
       int64_t event = -1;
@@ -267,7 +267,7 @@ class ScheduleSerializationCheck final : public Check {
 
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     Emitter emit(id(), out);
-    const ScheduleReport& report = *ctx.schedule;
+    const ScheduleReport& report = ctx.schedule();
     if (report.plan_width < 2) return;            // nothing to parallelize
     if (report.completed_executions < 2) return;  // too little evidence
     // A single admission slot in the trace means dop=1 was configured —

@@ -292,7 +292,7 @@ class FootprintConformanceCheck final : public Check {
     // interleavings (all mitosis pieces' intermediates held at once), so
     // its slack against one observed run says nothing about the byte
     // model itself.
-    int64_t sched_peak = ScheduleMatchedPeak(p, report, *ctx.trace_index);
+    int64_t sched_peak = ScheduleMatchedPeak(p, report, ctx.trace_index());
     if (recorded > sched_peak) {
       emit.Emit(Severity::kError, recorded_pc, -1,
                 StrFormat("engine recorded a live-byte peak of %s but the "

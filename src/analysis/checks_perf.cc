@@ -43,7 +43,7 @@ class TracePerfRegressionCheck final : public Check {
   void Run(const CheckContext& ctx,
            std::vector<Diagnostic>* out) const override {
     Emitter emit(id(), out);
-    const profiler::TraceIndex& trace = *ctx.trace_index;
+    const profiler::TraceIndex& trace = ctx.trace_index();
     if (trace.empty()) return;
 
     // Key by the executed plan when we have it (exact contract), else by

@@ -30,13 +30,6 @@ std::string Diagnostic::ToString() const {
   return out;
 }
 
-bool HasErrors(const std::vector<Diagnostic>& diagnostics) {
-  for (const Diagnostic& d : diagnostics) {
-    if (d.severity == Severity::kError) return true;
-  }
-  return false;
-}
-
 size_t CountSeverity(const std::vector<Diagnostic>& diagnostics,
                      Severity severity) {
   size_t n = 0;

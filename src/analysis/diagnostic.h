@@ -36,9 +36,6 @@ struct Diagnostic {
   bool operator==(const Diagnostic& other) const = default;
 };
 
-/// True when any diagnostic is an error.
-bool HasErrors(const std::vector<Diagnostic>& diagnostics);
-
 /// Counts diagnostics at exactly `severity`.
 size_t CountSeverity(const std::vector<Diagnostic>& diagnostics,
                      Severity severity);

@@ -1,7 +1,8 @@
 #include "analysis/runner.h"
 
 #include <algorithm>
-#include <optional>
+#include <memory>
+#include <mutex>
 #include <tuple>
 #include <utility>
 
@@ -60,18 +61,28 @@ void Runner::Add(std::unique_ptr<Check> check) {
   checks_.push_back(std::move(check));
 }
 
+const profiler::TraceIndex& CheckContext::trace_index() const {
+  std::lock_guard<std::mutex> lock(derived_.mu);
+  if (derived_.index == nullptr) {
+    derived_.index = std::make_shared<const profiler::TraceIndex>(*trace);
+  }
+  return *derived_.index;
+}
+
+const ScheduleReport& CheckContext::schedule() const {
+  const profiler::TraceIndex& index = trace_index();
+  std::lock_guard<std::mutex> lock(derived_.mu);
+  if (derived_.schedule == nullptr) {
+    derived_.schedule = std::make_shared<const ScheduleReport>(
+        AnalyzeSchedule(*program, index));
+  }
+  return *derived_.schedule;
+}
+
 std::vector<Diagnostic> Runner::Run(const CheckContext& context) const {
-  CheckContext ctx = context;
-  std::optional<profiler::TraceIndex> index;
-  std::optional<ScheduleReport> schedule;
-  if (ctx.trace != nullptr && ctx.trace_index == nullptr) {
-    ctx.trace_index = &index.emplace(*ctx.trace);
-  }
-  if (ctx.program != nullptr && ctx.trace_index != nullptr &&
-      ctx.schedule == nullptr) {
-    ctx.schedule = &schedule.emplace(
-        AnalyzeSchedule(*ctx.program, *ctx.trace_index));
-  }
+  // A copy starts without derived facts: each run indexes and replays its
+  // trace itself, at most once.
+  const CheckContext ctx = context;
   std::vector<Diagnostic> diagnostics;
   for (const std::unique_ptr<Check>& check : checks_) {
     if (!NeedsSatisfied(check->needs(), ctx)) continue;

@@ -19,9 +19,7 @@ namespace stetho::layout {
 /// of the same plan all re-enter the layout stage with an unchanged graph;
 /// the cache turns those calls into a hash of the graph content plus a map
 /// lookup, returning a shared_ptr to the immutable geometry. The key
-/// covers node ids, labels, edge endpoints, and every LayoutOptions field
-/// that affects geometry (the pool / parallel threshold fields are
-/// excluded: parallelism is deterministic and never changes the output).
+/// covers node ids, labels, edge endpoints, and every LayoutOptions field.
 ///
 /// Hits and misses are exported as `stetho_layout_cache_hits_total` /
 /// `stetho_layout_cache_misses_total`. A capacity of 0 disables caching:

@@ -11,7 +11,6 @@
 
 #include "analysis/checks.h"
 #include "analysis/diagnostic.h"
-#include "analysis/runner.h"
 #include "common/clock.h"
 #include "engine/interpreter.h"
 #include "engine/kernel.h"
@@ -89,9 +88,9 @@ std::vector<analysis::Diagnostic> ConformanceDiags(
   analysis::CheckContext ctx;
   ctx.program = &program;
   ctx.trace = &trace;
-  analysis::Runner runner;
-  runner.Add(analysis::MakeTraceConformanceCheck());
-  return runner.Run(ctx);
+  std::vector<analysis::Diagnostic> diags;
+  analysis::MakeTraceConformanceCheck()->Run(ctx, &diags);
+  return diags;
 }
 
 /// Many queries execute concurrently on the shared process-wide pool with

@@ -241,36 +241,77 @@ std::string ReadExample(const std::string& name) {
                      std::istreambuf_iterator<char>());
 }
 
-/// The whole default suite over a recorded plan + dot + trace shares one
-/// happens-before replay: the three schedule checks read the report the
-/// Runner derived once.
-TEST(AnalyzeScheduleTest, RunnerReplaysOncePerRun) {
-  auto program = mal::ParseProgram(ReadExample("c4_q1.mal"));
-  ASSERT_TRUE(program.ok()) << program.status().ToString();
-  auto graph = dot::ParseDot(ReadExample("c4_q1.dot"));
-  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
-  std::vector<TraceEvent> trace;
-  std::istringstream lines(ReadExample("c4_q1.trace"));
-  for (std::string line; std::getline(lines, line);) {
-    if (line.empty()) continue;
-    auto event = profiler::ParseTraceLine(line);
-    ASSERT_TRUE(event.ok()) << line;
-    trace.push_back(std::move(event).value());
+/// The recorded q1 plan, plan graph and trace from examples/.
+class RecordedQueryTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto program = mal::ParseProgram(ReadExample("c4_q1.mal"));
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    program_ = std::move(program).value();
+    auto graph = dot::ParseDot(ReadExample("c4_q1.dot"));
+    ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+    graph_ = std::move(graph).value();
+    std::istringstream lines(ReadExample("c4_q1.trace"));
+    for (std::string line; std::getline(lines, line);) {
+      if (line.empty()) continue;
+      auto event = profiler::ParseTraceLine(line);
+      ASSERT_TRUE(event.ok()) << line;
+      trace_.push_back(std::move(event).value());
+    }
+    ASSERT_FALSE(trace_.empty());
   }
-  ASSERT_FALSE(trace.empty());
 
-  CheckContext ctx;
-  ctx.program = &program.value();
-  ctx.graph = &graph.value();
-  ctx.trace = &trace;
-  ctx.registry = engine::ModuleRegistry::Default();
-  obs::Registry* registry = obs::Registry::Default();
-  analysis::Runner::Default().Run(ctx);  // registers the hb metrics
-  const int64_t before =
-      registry->CounterValue("stetho_hb_replays_total").value();
-  analysis::Runner::Default().Run(ctx);
-  EXPECT_EQ(registry->CounterValue("stetho_hb_replays_total").value(),
-            before + 1);
+  CheckContext Context() const {
+    CheckContext ctx;
+    ctx.program = &program_;
+    ctx.graph = &graph_;
+    ctx.trace = &trace_;
+    ctx.registry = engine::ModuleRegistry::Default();
+    return ctx;
+  }
+
+  static int64_t Replays() {
+    auto value =
+        obs::Registry::Default()->CounterValue("stetho_hb_replays_total");
+    return value.ok() ? value.value() : 0;
+  }
+
+  mal::Program program_;
+  dot::Graph graph_;
+  std::vector<TraceEvent> trace_;
+};
+
+/// The whole default suite over a recorded plan + dot + trace shares one
+/// happens-before replay: the three schedule checks read one report.
+TEST_F(RecordedQueryTest, RunnerReplaysOncePerRun) {
+  const int64_t before = Replays();
+  analysis::Runner::Default().Run(Context());
+  EXPECT_EQ(Replays(), before + 1);
+}
+
+/// Checks invoked one at a time on one context (no Runner) derive the
+/// index and the replay themselves, once, and report what Runner::Run does.
+TEST_F(RecordedQueryTest, DirectCheckRunsShareOneReplay) {
+  const std::vector<Diagnostic> expected =
+      analysis::Runner::Default().Run(Context());
+  const CheckContext ctx = Context();
+  const int64_t before = Replays();
+  std::vector<Diagnostic> findings;
+  for (const auto& check : analysis::Runner::Default().checks()) {
+    if ((check->needs() & (analysis::kNeedsSpans | analysis::kNeedsProfile)) !=
+        0) {
+      continue;  // inputs this context does not carry
+    }
+    check->Run(ctx, &findings);
+  }
+  EXPECT_EQ(Replays(), before + 1);
+  auto lines = [](const std::vector<Diagnostic>& diagnostics) {
+    std::vector<std::string> out;
+    for (const Diagnostic& d : diagnostics) out.push_back(d.ToString());
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  EXPECT_EQ(lines(findings), lines(expected));
 }
 
 // ---------------------------------------------------------------------------

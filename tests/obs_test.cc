@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -12,8 +11,8 @@
 #include <vector>
 
 #include "analysis/checks.h"
-#include "analysis/runner.h"
 #include "common/clock.h"
+#include "scratch_dir.h"
 #include "engine/interpreter.h"
 #include "mal/program.h"
 #include "net/channel.h"
@@ -45,24 +44,6 @@ using storage::Schema;
 using storage::Table;
 using storage::TablePtr;
 using storage::Value;
-
-/// A fresh directory under the test temp dir, removed with its contents
-/// when the test ends. A fixed path would let one run's files leak into
-/// the next.
-class ScratchDir {
- public:
-  explicit ScratchDir(const std::string& prefix) {
-    std::string pattern = testing::TempDir() + prefix + "_XXXXXX";
-    if (mkdtemp(pattern.data()) != nullptr) path_ = pattern;
-  }
-  ~ScratchDir() {
-    if (!path_.empty()) std::filesystem::remove_all(path_);
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 /// Tiny lineitem fixture for fixed-plan execution tests.
 Catalog MakeCatalog() {
@@ -639,9 +620,9 @@ std::vector<analysis::Diagnostic> RunConformance(
   analysis::CheckContext ctx;
   ctx.trace = &trace;
   ctx.spans = &spans;
-  analysis::Runner runner;
-  runner.Add(analysis::MakeTraceSpanConformanceCheck());
-  return runner.Run(ctx);
+  std::vector<analysis::Diagnostic> out;
+  analysis::MakeTraceSpanConformanceCheck()->Run(ctx, &out);
+  return out;
 }
 
 TEST(TraceSpanConformanceTest, CleanWhenSpansMatchTrace) {

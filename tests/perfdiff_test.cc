@@ -11,7 +11,6 @@
 
 #include "analysis/checks.h"
 #include "analysis/perfdiff.h"
-#include "analysis/runner.h"
 #include "mal/parser.h"
 #include "obs/profile_store.h"
 #include "scope/trace.h"
@@ -31,14 +30,6 @@ using profiler::TraceIndex;
 
 std::string ExamplePath(const char* name) {
   return std::string(STETHO_EXAMPLES_DIR) + "/" + name;
-}
-
-/// trace-perf-regression alone, through a Runner (which derives the trace
-/// index the check reads).
-std::vector<Diagnostic> RunRegressionCheck(const CheckContext& context) {
-  Runner runner;
-  runner.Add(MakeTracePerfRegressionCheck());
-  return runner.Run(context);
 }
 
 std::string TempPath(const char* name) {
@@ -334,11 +325,13 @@ TEST_F(PerfdiffExampleTest, RegressionCheckIsQuietOnItsOwnBaseline) {
   observation.shape_hash = PlanShapeHash(program_);
   ASSERT_TRUE(store.Fold(observation).ok());
 
+  auto check = MakeTracePerfRegressionCheck();
   CheckContext context;
   context.program = &program_;
   context.trace = &trace_;
   context.profile = &store;
-  std::vector<Diagnostic> findings = RunRegressionCheck(context);
+  std::vector<Diagnostic> findings;
+  check->Run(context, &findings);
   EXPECT_TRUE(findings.empty()) << findings.front().ToString();
 }
 
@@ -366,11 +359,13 @@ TEST_F(PerfdiffExampleTest, RegressionCheckFlagsInjectedSlowdown) {
     }
   }
 
+  auto check = MakeTracePerfRegressionCheck();
   CheckContext context;
   context.program = &program_;
   context.trace = &slow_trace;
   context.profile = &store;
-  std::vector<Diagnostic> findings = RunRegressionCheck(context);
+  std::vector<Diagnostic> findings;
+  check->Run(context, &findings);
   ASSERT_FALSE(findings.empty());
   bool flagged = false;
   for (const Diagnostic& finding : findings) {
@@ -385,11 +380,13 @@ TEST_F(PerfdiffExampleTest, RegressionCheckFlagsInjectedSlowdown) {
 
 TEST_F(PerfdiffExampleTest, RegressionCheckNotesMissingBaseline) {
   ProfileStore store;  // empty: shape never observed
+  auto check = MakeTracePerfRegressionCheck();
   CheckContext context;
   context.program = &program_;
   context.trace = &trace_;
   context.profile = &store;
-  std::vector<Diagnostic> findings = RunRegressionCheck(context);
+  std::vector<Diagnostic> findings;
+  check->Run(context, &findings);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].severity, Severity::kNote);
   EXPECT_EQ(findings[0].check_id, "trace-perf-regression");

@@ -2,8 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -14,6 +12,7 @@
 #include "obs/metrics.h"
 #include "obs/profile_store.h"
 #include "profiler/sink.h"
+#include "scratch_dir.h"
 #include "server/mserver.h"
 #include "server/result_printer.h"
 #include "tpch/dbgen.h"
@@ -21,24 +20,6 @@
 
 namespace stetho::server {
 namespace {
-
-/// A fresh directory under the test temp dir, removed with its contents
-/// when the test ends. A fixed path would let one run's files leak into
-/// the next (query names restart at s0 in every Mserver).
-class ScratchDir {
- public:
-  explicit ScratchDir(const std::string& prefix) {
-    std::string pattern = testing::TempDir() + prefix + "_XXXXXX";
-    if (mkdtemp(pattern.data()) != nullptr) path_ = pattern;
-  }
-  ~ScratchDir() {
-    if (!path_.empty()) std::filesystem::remove_all(path_);
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 /// Current value of the process-global slow-query counter (0 before the
 /// first slow query registers it) — delta-assert against this, the

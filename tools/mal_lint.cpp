@@ -260,16 +260,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The trace facts every consumer below shares, derived once.
-  std::optional<profiler::TraceIndex> index;
-  std::optional<analysis::ScheduleReport> schedule_report;
-  if (trace.has_value()) {
-    index.emplace(trace.value());
-    if (program.has_value()) {
-      schedule_report = analysis::AnalyzeSchedule(program.value(), *index);
-    }
-  }
-
   if (!write_profile_path.empty()) {
     // Record mode: fold the trace into the profile file and exit. Keyed by
     // the plan's shape hash when a plan was given (the contract the server
@@ -278,7 +268,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--write-profile needs a trace input\n");
       return 2;
     }
-    obs::QueryObservation observation = analysis::ObservationFromTrace(*index);
+    obs::QueryObservation observation = analysis::ObservationFromTrace(
+        profiler::TraceIndex(trace.value()));
     if (program.has_value()) {
       observation.shape_hash = analysis::PlanShapeHash(program.value());
     }
@@ -321,11 +312,7 @@ int main(int argc, char** argv) {
     ctx.registry = engine::ModuleRegistry::Default();
   }
   if (graph.has_value()) ctx.graph = &graph.value();
-  if (trace.has_value()) {
-    ctx.trace = &trace.value();
-    ctx.trace_index = &*index;
-  }
-  if (schedule_report.has_value()) ctx.schedule = &*schedule_report;
+  if (trace.has_value()) ctx.trace = &trace.value();
   if (spans.has_value()) ctx.spans = &spans.value();
   if (profile.has_value()) ctx.profile = &profile.value();
 
@@ -353,15 +340,15 @@ int main(int argc, char** argv) {
                 analysis::CountSeverity(diagnostics, analysis::Severity::kNote));
   }
   if (schedule) {
-    if (!schedule_report.has_value()) {
+    if (!program.has_value() || !trace.has_value()) {
       std::fprintf(stderr,
                    "--schedule needs both a plan and a trace input\n");
       return 2;
     }
-    std::fputs(analysis::FormatScheduleReport(*schedule_report,
-                                              program.value())
-                   .c_str(),
-               stdout);
+    std::fputs(
+        analysis::FormatScheduleReport(ctx.schedule(), program.value())
+            .c_str(),
+        stdout);
   }
   if (memory) {
     if (!program.has_value()) {
