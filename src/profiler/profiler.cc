@@ -57,9 +57,7 @@ EventFilter Profiler::GetFilter() const { return Snapshot()->filter; }
 /// entry; `stmt` carries the statement text by view and is copied into the
 /// event only once it is known to be delivered.
 void Profiler::EmitImpl(TraceEvent& event, std::string_view stmt) {
-  // Grab the current dispatch snapshot (one shared_ptr copy under the
-  // lock); fan-out happens outside it so slow sinks (file IO, UDP) never
-  // serialize worker threads against each other more than necessary.
+  // Grab the current dispatch snapshot (one shared_ptr copy under the lock).
   std::shared_ptr<const Dispatch> dispatch = Snapshot();
   // The filter runs BEFORE stamping: delivered events carry a contiguous
   // sequence (any hole a receiver observes is transport loss — the
@@ -70,19 +68,22 @@ void Profiler::EmitImpl(TraceEvent& event, std::string_view stmt) {
     FilteredCounter()->Increment();
     return;
   }
+  // Copy the statement text before taking the stamp lock: the critical
+  // section below is what serializes worker threads against each other.
+  event.stmt.assign(stmt.data(), stmt.size());
   {
-    // Stamp sequence number and timestamp together: the trace contract
-    // (analysis' trace-conformance check) demands timestamps be monotone in
-    // event order, which concurrent workers would otherwise violate when one
-    // is preempted between the two reads.
+    // Stamp sequence number and timestamp together and fan out before
+    // releasing the lock: the trace contract (analysis' trace-conformance
+    // check) demands timestamps be monotone in event order, and every sink
+    // must see events in that order. A worker preempted between stamping and
+    // delivery would otherwise hand its event to the sinks after a later one.
     std::lock_guard<std::mutex> lock(stamp_mu_);
     event.event = next_event_.fetch_add(1, std::memory_order_relaxed);
     event.time_us = clock_->NowMicros();
+    for (const auto& sink : dispatch->sinks) sink->Consume(event);
   }
   emitted_.fetch_add(1, std::memory_order_relaxed);
   EmittedCounter()->Increment();
-  event.stmt.assign(stmt.data(), stmt.size());
-  for (const auto& sink : dispatch->sinks) sink->Consume(event);
 }
 
 void Profiler::Emit(TraceEvent event) {

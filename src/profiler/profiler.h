@@ -21,6 +21,13 @@ namespace stetho::profiler {
 ///
 /// Thread-safe: worker threads emit concurrently; filter swaps and sink
 /// registration may happen while a query runs.
+///
+/// Delivery contract: every sink consumes events in emission order — one
+/// lock (the stamp lock) covers the sequence number, the timestamp and the
+/// fan-out, so `event` is strictly increasing and `time_us` never decreases
+/// in what each in-process sink sees. Sinks therefore run serialized with
+/// each other and with every emitting worker; keep Consume cheap, and never
+/// emit into the same profiler from inside it (that self-deadlocks).
 class Profiler {
  public:
   explicit Profiler(Clock* clock) : clock_(clock) {}
@@ -78,7 +85,7 @@ class Profiler {
   std::atomic<int64_t> filtered_{0};
 
   mutable std::mutex mu_;  // guards dispatch_ (pointer swap only)
-  std::mutex stamp_mu_;    // seq number + timestamp advance together
+  std::mutex stamp_mu_;    // seq number, timestamp and fan-out in one step
   std::shared_ptr<const Dispatch> dispatch_ = std::make_shared<Dispatch>();
 };
 

@@ -15,10 +15,15 @@
 namespace stetho::profiler {
 
 /// Destination for profiled events. Implementations must be thread-safe:
-/// the engine emits from multiple worker threads concurrently.
+/// the engine emits from multiple worker threads concurrently, and sinks may
+/// also be fed directly (ConsumeBatch from a receiver thread).
 class EventSink {
  public:
   virtual ~EventSink() = default;
+  /// Called by Profiler in emission order, while the profiler's stamp lock
+  /// is held: `event.event` arrives strictly increasing and `time_us`
+  /// non-decreasing. The call blocks every emitting worker, so it must stay
+  /// short, and it must not emit into the same profiler (self-deadlock).
   virtual void Consume(const TraceEvent& event) = 0;
   /// Consumes `n` events in order — semantically identical to calling
   /// Consume per event. Overrides amortize per-event costs (one lock
@@ -89,7 +94,9 @@ class FileSink : public EventSink {
   std::FILE* file_;
 };
 
-/// Invokes a callback per event. The callback must be thread-safe.
+/// Invokes a callback per event. The callback must be thread-safe; under a
+/// Profiler it runs in emission order with the stamp lock held, so it must
+/// not block for long nor emit into that profiler (see EventSink::Consume).
 class CallbackSink : public EventSink {
  public:
   explicit CallbackSink(std::function<void(const TraceEvent&)> fn)

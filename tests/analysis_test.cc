@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/checks.h"
@@ -14,6 +17,7 @@
 #include "common/rng.h"
 #include "dot/parser.h"
 #include "dot/writer.h"
+#include "engine/interpreter.h"
 #include "engine/kernel.h"
 #include "mal/parser.h"
 #include "mal/program.h"
@@ -761,6 +765,25 @@ TEST_F(SeedPipelineTest, AllQueriesLintCleanAfterOptimization) {
   }
 }
 
+// True iff two of the engine's own per-instruction intervals
+// [start_us, start_us + usec) overlap — an account of concurrency taken
+// independently of the profiler trace. RunInstruction reads its start time
+// after EmitStart and its end time before EmitDone, so each interval lies
+// inside that pc's start/done window in the trace.
+bool StatsOverlap(const std::vector<engine::InstructionStat>& stats) {
+  std::vector<std::pair<int64_t, int64_t>> spans;
+  for (const engine::InstructionStat& s : stats) {
+    if (s.usec > 0) spans.emplace_back(s.start_us, s.start_us + s.usec);
+  }
+  std::sort(spans.begin(), spans.end());
+  int64_t end = INT64_MIN;
+  for (const auto& [start, stop] : spans) {
+    if (start < end) return true;
+    end = std::max(end, stop);
+  }
+  return false;
+}
+
 TEST_F(SeedPipelineTest, ExecutedQueryTraceLintsClean) {
   server::MserverOptions options;
   options.mitosis_pieces = 4;
@@ -784,12 +807,21 @@ TEST_F(SeedPipelineTest, ExecutedQueryTraceLintsClean) {
     ctx.registry = engine::ModuleRegistry::Default();
     auto diags = Runner::Default().Run(ctx);
     // Selective plans may earn the informational "bound is >2x the
-    // recorded peak" conformance note; anything at warning or above (or
-    // any other note) is a real regression.
+    // recorded peak" conformance note. The schedule-serialization note (the
+    // paper's lost-concurrency anomaly) is accepted only when the query
+    // really ran serially — the engine offered parallel work but a loaded
+    // host had no free core — which the engine's own stats decide: if they
+    // show overlap, the note is a false positive. Anything at warning or
+    // above, or any other note, is a real regression.
+    const bool ran_serially = !StatsOverlap(outcome.value().result.stats);
     for (const Diagnostic& d : diags) {
-      EXPECT_TRUE(d.severity == Severity::kNote &&
-                  d.check_id == "footprint-conformance")
-          << query << "\n" << analysis::FormatDiagnostics(diags);
+      const bool allowed =
+          d.severity == Severity::kNote &&
+          (d.check_id == "footprint-conformance" ||
+           (ran_serially && d.check_id == "schedule-serialization"));
+      EXPECT_TRUE(allowed)
+          << query << (ran_serially ? " (ran serially)" : "") << "\n"
+          << analysis::FormatDiagnostics(diags);
     }
   }
 }

@@ -16,6 +16,7 @@
 #include "profiler/profiler.h"
 #include "profiler/sink.h"
 #include "profiler/trace_index.h"
+#include "scratch_dir.h"
 
 namespace stetho::profiler {
 namespace {
@@ -323,6 +324,69 @@ TEST(ProfilerTest, ConcurrentEmitUniqueEventIds) {
   for (size_t i = 0; i < ids.size(); ++i) {
     EXPECT_EQ(ids[i], static_cast<int64_t>(i));
   }
+}
+
+// Every sink sees events in emission order, as delivered — no sorting here:
+// `event` contiguous and strictly increasing, `time_us` never decreasing.
+// (The ring's Snapshot promises "oldest first"; the file is what `record`
+// writes and mal_lint reads.)
+void ExpectEmissionOrder(const std::vector<TraceEvent>& events,
+                         const char* sink) {
+  for (size_t i = 0; i < events.size(); ++i) {
+    ASSERT_EQ(events[i].event, static_cast<int64_t>(i))
+        << sink << ": position " << i << " holds event " << events[i].event;
+    if (i > 0) {
+      ASSERT_GE(events[i].time_us, events[i - 1].time_us)
+          << sink << ": time regresses at event " << events[i].event;
+    }
+  }
+}
+
+TEST(ProfilerTest, ConcurrentEmitDeliversInEmissionOrder) {
+  ScratchDir dir("stetho_emit_order");
+  ASSERT_FALSE(dir.path().empty());
+  const std::string path = dir.path() + "/order.trace";
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 2000;
+  VirtualClock clock;
+  Profiler prof(&clock);
+  auto ring = std::make_shared<RingBufferSink>(kThreads * kPerThread);
+  prof.AddSink(ring);
+  {
+    auto file = FileSink::Open(path);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    prof.AddSink(std::move(file).value());
+  }
+  const std::string stmt(200, 'x');  // a realistic statement to copy
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&prof, &clock, &stmt, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        clock.Advance(1);
+        if (i % 2 == 0) {
+          prof.EmitStart(i, t, 0, stmt);
+        } else {
+          prof.EmitDone(i - 1, t, 1, 0, stmt);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  prof.ClearSinks();  // releases (and closes) the file sink
+
+  std::vector<TraceEvent> ring_events = ring->Snapshot();
+  ASSERT_EQ(ring_events.size(), static_cast<size_t>(kThreads * kPerThread));
+  ExpectEmissionOrder(ring_events, "ring");
+
+  std::vector<TraceEvent> file_events;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) {
+    auto event = ParseTraceLine(line);
+    ASSERT_TRUE(event.ok()) << line;
+    file_events.push_back(std::move(event).value());
+  }
+  ASSERT_EQ(file_events.size(), static_cast<size_t>(kThreads * kPerThread));
+  ExpectEmissionOrder(file_events, "file");
 }
 
 // --- trace index ---
