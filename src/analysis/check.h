@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "analysis/diagnostic.h"
@@ -16,6 +17,8 @@
 
 namespace stetho::analysis {
 
+struct MemoryReport;
+struct ProgramFacts;
 struct ScheduleReport;
 
 /// Everything a check may inspect. All pointers are optional and borrowed;
@@ -41,14 +44,22 @@ struct CheckContext {
   /// later pass removes) but hazards in a final plan.
   bool in_pipeline = false;
 
-  /// Facts derived from `trace` (and `program`), built on first use and
-  /// shared by every later check on this context, so the index is built
-  /// and the happens-before model replayed at most once per context. Set
-  /// the inputs before any check runs: a derived fact is not rebuilt when
-  /// `trace` or `program` changes afterwards. A copied context starts
-  /// without them (Runner::Run works on a copy, so every run derives its
-  /// own).
+  /// Facts derived from `program` and `trace`, built on first use and
+  /// shared by every later check on this context, so the plan is
+  /// interpreted, the trace indexed and the happens-before model replayed
+  /// at most once per context. Set the inputs before any check runs: a
+  /// derived fact is not rebuilt when `program` or `trace` changes
+  /// afterwards, so a changed plan needs a new context. A copied context
+  /// starts without them; a moved one takes them along (Runner::Run takes
+  /// its context by value, so a caller that moves it in hands over the
+  /// facts it already derived).
   ///
+  /// One abstract-interpretation sweep of `program` (absint.h): the final
+  /// state and every instruction's facts; requires `program`.
+  const ProgramFacts& absint() const;
+  /// The memory-lifetime report of `program` (liveness.h), built from
+  /// absint() without a second sweep; requires `program`.
+  const MemoryReport& memory() const;
   /// The emission-order index of `trace`; requires `trace`.
   const profiler::TraceIndex& trace_index() const;
   /// The happens-before replay of `trace` against `program`; requires both.
@@ -58,7 +69,16 @@ struct CheckContext {
   struct Derived {
     Derived() = default;
     Derived(const Derived&) {}  // a copy derives afresh
+    Derived(Derived&& other) {
+      std::lock_guard<std::mutex> lock(other.mu);
+      absint = std::move(other.absint);
+      memory = std::move(other.memory);
+      index = std::move(other.index);
+      schedule = std::move(other.schedule);
+    }
     std::mutex mu;
+    std::shared_ptr<const ProgramFacts> absint;
+    std::shared_ptr<const MemoryReport> memory;
     std::shared_ptr<const profiler::TraceIndex> index;
     std::shared_ptr<const ScheduleReport> schedule;
   };

@@ -42,8 +42,8 @@ class TypeFlowCheck final : public Check {
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     const Program& p = *ctx.program;
     Emitter emit(id(), out);
-    AnalyzeProgram(p, [&](const Instruction& ins,
-                          const InstructionFacts& facts) {
+    VisitFacts(p, ctx.absint(), [&](const Instruction& ins,
+                                    const InstructionFacts& facts) {
       const KernelSignature* sig =
           LookupKernelSignature(ins.module, ins.function);
 
@@ -122,8 +122,8 @@ class CardinalityContradictionCheck final : public Check {
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     const Program& p = *ctx.program;
     Emitter emit(id(), out);
-    AnalyzeProgram(p, [&](const Instruction& ins,
-                          const InstructionFacts& facts) {
+    VisitFacts(p, ctx.absint(), [&](const Instruction& ins,
+                                    const InstructionFacts& facts) {
       const KernelSignature* sig =
           LookupKernelSignature(ins.module, ins.function);
       if (sig == nullptr) return;
@@ -204,8 +204,8 @@ class GuaranteedEmptyCheck final : public Check {
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     const Program& p = *ctx.program;
     Emitter emit(id(), out);
-    AnalyzeProgram(p, [&](const Instruction& ins,
-                          const InstructionFacts& facts) {
+    VisitFacts(p, ctx.absint(), [&](const Instruction& ins,
+                                    const InstructionFacts& facts) {
       for (size_t i = 0; i < facts.merged_results.size(); ++i) {
         const AbstractValue& v = facts.merged_results[i];
         if (!v.defined || v.is_bat != Tri::kTrue) continue;
@@ -236,8 +236,8 @@ class MissedConstantFoldCheck final : public Check {
 
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     Emitter emit(id(), out);
-    AnalyzeProgram(*ctx.program, [&](const Instruction& ins,
-                                     const InstructionFacts& facts) {
+    VisitFacts(*ctx.program, ctx.absint(), [&](const Instruction& ins,
+                                                const InstructionFacts& facts) {
       if (ins.module != "calc" || ins.results.size() != 1 ||
           ins.args.empty()) {
         return;
@@ -273,8 +273,8 @@ class OrderKeyPropagationCheck final : public Check {
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     const Program& p = *ctx.program;
     Emitter emit(id(), out);
-    AnalyzeProgram(p, [&](const Instruction& ins,
-                          const InstructionFacts& facts) {
+    VisitFacts(p, ctx.absint(), [&](const Instruction& ins,
+                                    const InstructionFacts& facts) {
       const KernelSignature* sig =
           LookupKernelSignature(ins.module, ins.function);
       if (sig == nullptr) return;

@@ -47,7 +47,7 @@ class MemoryBlowupCheck final : public Check {
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     const Program& p = *ctx.program;
     Emitter emit(id(), out);
-    MemoryReport report = AnalyzeMemory(p);
+    const MemoryReport& report = ctx.memory();
     if (!report.bounded) {
       // Name the first unbounded range so the missing annotation is
       // actionable; without a bound, no budget comparison is meaningful.
@@ -125,7 +125,7 @@ class LiveRangeBloatCheck final : public Check {
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     const Program& p = *ctx.program;
     Emitter emit(id(), out);
-    MemoryReport report = AnalyzeMemory(p);
+    const MemoryReport& report = ctx.memory();
     std::vector<std::vector<int>> deps = p.BuildDependencies();
     // Consumer pcs per variable, to find each register's second-to-last use.
     std::vector<std::vector<int>> use_pcs(p.num_variables());
@@ -264,7 +264,7 @@ class FootprintConformanceCheck final : public Check {
       }
     }
     int dop = std::max<int>(1, static_cast<int>(threads.size()));
-    MemoryReport report = AnalyzeMemory(p);
+    const MemoryReport& report = ctx.memory();
     int64_t bound = ParallelPeakBound(p, report, dop);
     if (!report.bounded || bound == kUnboundedBytes) {
       emit.Emit(Severity::kNote, -1, -1,

@@ -197,7 +197,13 @@ int64_t EstimateResultBytes(const mal::Instruction& ins,
   return bytes;
 }
 
-MemoryReport AnalyzeMemory(const mal::Program& program) {
+namespace {
+
+/// AnalyzeMemory over the facts `sweep` hands out: it calls its argument
+/// on every instruction in pc order with that instruction's facts.
+MemoryReport BuildMemoryReport(
+    const mal::Program& program,
+    const std::function<void(const InstructionVisitor&)>& sweep) {
   const size_t n = program.size();
   const size_t nvars = program.num_variables();
   MemoryReport report;
@@ -212,8 +218,8 @@ MemoryReport AnalyzeMemory(const mal::Program& program) {
   std::vector<int> consumers(nvars, 0);
 
   // Forward absint sweep: footprint of every result register.
-  AnalyzeProgram(
-      program, [&](const mal::Instruction& ins, const InstructionFacts& facts) {
+  sweep(
+      [&](const mal::Instruction& ins, const InstructionFacts& facts) {
         int64_t total = 0;
         for (size_t k = 0; k < ins.results.size(); ++k) {
           int v = ins.results[k];
@@ -318,6 +324,21 @@ MemoryReport AnalyzeMemory(const mal::Program& program) {
     report.live_after[pc] = display();
   }
   return report;
+}
+
+}  // namespace
+
+MemoryReport AnalyzeMemory(const mal::Program& program) {
+  return BuildMemoryReport(program, [&](const InstructionVisitor& visit) {
+    AnalyzeProgram(program, visit);
+  });
+}
+
+MemoryReport AnalyzeMemory(const mal::Program& program,
+                           const ProgramFacts& facts) {
+  return BuildMemoryReport(program, [&](const InstructionVisitor& visit) {
+    VisitFacts(program, facts, visit);
+  });
 }
 
 int64_t ParallelPeakBound(const mal::Program& program,

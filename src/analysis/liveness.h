@@ -95,6 +95,10 @@ struct MemoryReport {
 /// Runs the forward absint sweep + backward liveness and returns the
 /// per-range footprints and the sequential peak profile.
 MemoryReport AnalyzeMemory(const mal::Program& program);
+/// The same report built from already derived facts of `program`, without
+/// a second sweep (analysis::CheckContext::memory()).
+MemoryReport AnalyzeMemory(const mal::Program& program,
+                           const ProgramFacts& facts);
 
 /// Upper bound on the live-byte peak under ANY schedule the dataflow
 /// scheduler may choose with `dop` worker slots. Sound (never below the

@@ -6,8 +6,10 @@
 #include <tuple>
 #include <utility>
 
+#include "analysis/absint.h"
 #include "analysis/checks.h"
 #include "analysis/hb.h"
+#include "analysis/liveness.h"
 #include "common/string_util.h"
 
 namespace stetho::analysis {
@@ -61,6 +63,25 @@ void Runner::Add(std::unique_ptr<Check> check) {
   checks_.push_back(std::move(check));
 }
 
+const ProgramFacts& CheckContext::absint() const {
+  std::lock_guard<std::mutex> lock(derived_.mu);
+  if (derived_.absint == nullptr) {
+    derived_.absint =
+        std::make_shared<const ProgramFacts>(AnalyzeProgramFacts(*program));
+  }
+  return *derived_.absint;
+}
+
+const MemoryReport& CheckContext::memory() const {
+  const ProgramFacts& facts = absint();
+  std::lock_guard<std::mutex> lock(derived_.mu);
+  if (derived_.memory == nullptr) {
+    derived_.memory =
+        std::make_shared<const MemoryReport>(AnalyzeMemory(*program, facts));
+  }
+  return *derived_.memory;
+}
+
 const profiler::TraceIndex& CheckContext::trace_index() const {
   std::lock_guard<std::mutex> lock(derived_.mu);
   if (derived_.index == nullptr) {
@@ -79,14 +100,11 @@ const ScheduleReport& CheckContext::schedule() const {
   return *derived_.schedule;
 }
 
-std::vector<Diagnostic> Runner::Run(const CheckContext& context) const {
-  // A copy starts without derived facts: each run indexes and replays its
-  // trace itself, at most once.
-  const CheckContext ctx = context;
+std::vector<Diagnostic> Runner::Run(CheckContext context) const {
   std::vector<Diagnostic> diagnostics;
   for (const std::unique_ptr<Check>& check : checks_) {
-    if (!NeedsSatisfied(check->needs(), ctx)) continue;
-    check->Run(ctx, &diagnostics);
+    if (!NeedsSatisfied(check->needs(), context)) continue;
+    check->Run(context, &diagnostics);
   }
   std::stable_sort(diagnostics.begin(), diagnostics.end(),
                    [](const Diagnostic& a, const Diagnostic& b) {

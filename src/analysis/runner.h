@@ -27,8 +27,13 @@ class Runner {
 
   /// Runs every check whose needs() are satisfied by `context`; checks with
   /// missing inputs are skipped, not failed. Diagnostics come back sorted:
-  /// errors first, then by pc, check id, and variable.
-  std::vector<Diagnostic> Run(const CheckContext& context) const;
+  /// errors first, then by pc, check id, and variable. Every check reads
+  /// the facts `context` derives (CheckContext::absint() and the rest), so
+  /// a run interprets the plan and replays the trace at most once. Passing
+  /// a context by copy derives afresh; moving one in reuses what it has
+  /// already derived (the optimizer pipeline summarizes a plan state from
+  /// its absint() facts, then lints that same state).
+  std::vector<Diagnostic> Run(CheckContext context) const;
 
   /// A Runner loaded with AllChecks().
   static Runner MakeDefault();

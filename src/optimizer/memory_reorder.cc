@@ -13,8 +13,10 @@
 // fire".
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
+#include "analysis/absint.h"
 #include "analysis/liveness.h"
 #include "optimizer/pass.h"
 
@@ -27,8 +29,12 @@ class MemoryReorderPass final : public Pass {
 
   Result<bool> Run(mal::Program* program) override {
     const size_t n = program->size();
-    if (n < 3) return false;
-    analysis::MemoryReport before = analysis::AnalyzeMemory(*program);
+    // A malformed plan's facts depend on its order (a use before its
+    // definition reads bottom), so only a valid plan is reordered; the
+    // pipeline's lint reports the malformed one.
+    if (n < 3 || !program->Validate().ok()) return false;
+    analysis::ProgramFacts facts = analysis::AnalyzeProgramFacts(*program);
+    analysis::MemoryReport before = analysis::AnalyzeMemory(*program, facts);
     if (!before.bounded) return false;  // no finite objective to improve
 
     // Per-variable footprints and consumer counts.
@@ -153,8 +159,19 @@ class MemoryReorderPass final : public Pass {
     program->ReplaceInstructions(std::move(reordered));
 
     // Self-rejecting: the pass never ships a plan whose predicted peak is
-    // not strictly smaller than what it started from.
-    analysis::MemoryReport after = analysis::AnalyzeMemory(*program);
+    // not strictly smaller than what it started from. The new order is a
+    // topological order of the same SSA instructions, and an instruction's
+    // abstract facts depend only on its operands' producers and its result
+    // declarations, so the facts carry over by permutation instead of a
+    // second sweep.
+    analysis::ProgramFacts reordered_facts;
+    reordered_facts.instructions.reserve(n);
+    for (int pc : order) {
+      reordered_facts.instructions.push_back(
+          std::move(facts.instructions[static_cast<size_t>(pc)]));
+    }
+    analysis::MemoryReport after =
+        analysis::AnalyzeMemory(*program, reordered_facts);
     if (!after.bounded ||
         after.seq_peak_bytes >= before.seq_peak_bytes ||
         !program->Validate().ok()) {

@@ -15,7 +15,9 @@ class Pass {
  public:
   virtual ~Pass() = default;
   virtual const char* name() const = 0;
-  /// Rewrites `program` in place; returns true when anything changed.
+  /// Rewrites `program` in place; returns true when anything changed. A
+  /// pass that returns false must leave `program` exactly as it found it
+  /// (the pipeline does not re-lint a plan state a pass declined to change).
   virtual Result<bool> Run(mal::Program* program) = 0;
 };
 
@@ -32,11 +34,17 @@ class Pipeline {
 
   void Add(std::unique_ptr<Pass> pass) { passes_.push_back(std::move(pass)); }
   size_t size() const { return passes_.size(); }
+  const std::vector<std::unique_ptr<Pass>>& passes() const { return passes_; }
 
   /// Runs all passes in order. Returns the names of passes that changed the
-  /// program. The program is re-linted with analysis::Runner::Default() after
-  /// every pass; an error diagnostic fails the pipeline with a Status naming
-  /// the pass, the check id, and the offending pc/variable.
+  /// program. The program is re-linted with analysis::Runner::Default() and
+  /// re-checked by the pass-equivalence differ after every pass that
+  /// changed it; a pass that declined must leave the plan byte-identical,
+  /// so it is not linted again. The final plan is always linted (when no
+  /// pass changed it, that is the input plan). An error diagnostic fails
+  /// the pipeline with a Status naming the pass (or the input), the check
+  /// id, and the offending pc/variable. Each plan state is interpreted once:
+  /// its lint and its differ summary share one analysis::CheckContext.
   Result<std::vector<std::string>> Run(mal::Program* program) const;
 
   /// MonetDB-like default pipeline: constant folding, common subexpression
@@ -72,7 +80,8 @@ std::unique_ptr<Pass> MakeMitosisPass(int pieces);
 /// consumes heavy intermediates as early as legal). Keeps the relative
 /// order of effectful instructions, must pass Program::Validate() and the
 /// pass-equivalence differ, and restores the original order (reporting
-/// "did not fire") unless the predicted peak strictly shrinks.
+/// "did not fire") unless the predicted peak strictly shrinks. A plan that
+/// fails Program::Validate() is left as it is.
 std::unique_ptr<Pass> MakeMemoryReorderPass();
 
 /// Prepends the language.dataflow() marker instruction (an administrative

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "engine/kernel.h"
 #include "mal/parser.h"
 #include "mal/program.h"
+#include "obs/metrics.h"
 #include "optimizer/pass.h"
 #include "profiler/sink.h"
 #include "server/mserver.h"
@@ -799,6 +801,68 @@ TEST_F(SeedPipelineTest, ExecutedQueryTraceLintsClean) {
           << query << "\n" << analysis::FormatDiagnostics(diags);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Shared plan facts: a context interprets its plan once for every check
+// ---------------------------------------------------------------------------
+
+int64_t AbsintRuns() {
+  auto value =
+      obs::Registry::Default()->CounterValue("stetho_absint_runs_total");
+  return value.ok() ? value.value() : 0;
+}
+
+/// The q6 plan with a foldable expression and a dead register added, so the
+/// program checks have findings to agree on.
+mal::Program Q6WithFindings(storage::Catalog* catalog) {
+  auto plan =
+      sql::Compiler::CompileSql(catalog, tpch::GetQuery("q6").value().sql);
+  EXPECT_TRUE(plan.ok());
+  mal::Program p = std::move(plan).value();
+  int folded = p.AddVariable(Lng());
+  p.Add("calc", "add", {folded},
+        {Argument::Const(Value::Int(2)), Argument::Const(Value::Int(3))});
+  int dead = p.AddVariable(BatOid());
+  p.Add("bat", "densebat", {dead}, {Argument::Const(Value::Int(4))});
+  p.Add("io", "print", {}, {Argument::Var(folded)});
+  return p;
+}
+
+TEST_F(SeedPipelineTest, RunnerInterpretsPlanOnce) {
+  storage::Catalog catalog = MakeCatalog();
+  auto plan =
+      sql::Compiler::CompileSql(&catalog, tpch::GetQuery("q6").value().sql);
+  ASSERT_TRUE(plan.ok());
+  const int64_t before = AbsintRuns();
+  Runner::Default().Run(PlanContext(plan.value()));
+  EXPECT_EQ(AbsintRuns(), before + 1);
+}
+
+/// Program checks invoked one at a time on one context (no Runner) share
+/// one sweep and report what Runner::Run does — the program-side twin of
+/// RecordedQueryTest.DirectCheckRunsShareOneReplay.
+TEST_F(SeedPipelineTest, DirectProgramCheckRunsShareOneSweep) {
+  storage::Catalog catalog = MakeCatalog();
+  const mal::Program plan = Q6WithFindings(&catalog);
+  const std::vector<Diagnostic> expected =
+      Runner::Default().Run(PlanContext(plan));
+  ASSERT_FALSE(expected.empty());
+  const CheckContext ctx = PlanContext(plan);
+  const int64_t before = AbsintRuns();
+  std::vector<Diagnostic> findings;
+  for (const auto& check : Runner::Default().checks()) {
+    if ((check->needs() & ~unsigned{analysis::kNeedsProgram}) != 0) continue;
+    check->Run(ctx, &findings);
+  }
+  EXPECT_EQ(AbsintRuns(), before + 1);
+  auto lines = [](const std::vector<Diagnostic>& diagnostics) {
+    std::vector<std::string> out;
+    for (const Diagnostic& d : diagnostics) out.push_back(d.ToString());
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  EXPECT_EQ(lines(findings), lines(expected));
 }
 
 // The signature table stays in lock-step with the engine: every kernel the

@@ -2,6 +2,7 @@
 
 #include "engine/interpreter.h"
 #include "mal/program.h"
+#include "obs/metrics.h"
 #include "optimizer/pass.h"
 #include "sql/compiler.h"
 #include "storage/table.h"
@@ -331,6 +332,122 @@ TEST(PipelineTest, BrokenPassFailsWithPassNameAndCheckId) {
   EXPECT_NE(msg.find("optimizer pass 'clobber'"), std::string::npos) << msg;
   EXPECT_NE(msg.find("ssa-def-before-use"), std::string::npos) << msg;
   EXPECT_NE(msg.find("pc="), std::string::npos) << msg;
+}
+
+// --- "declined means unchanged": the pipeline skips re-linting on it ---
+
+TEST(PipelineTest, DeclinedPassLeavesPlanByteIdentical) {
+  Catalog cat = TinyTpch();
+  int declined = 0;
+  for (const tpch::TpchQuery& q : tpch::TpchQueries()) {
+    auto base = sql::Compiler::CompileSql(&cat, q.sql);
+    ASSERT_TRUE(base.ok()) << q.id;
+    for (int pieces : {0, 4, 16}) {
+      Pipeline pipeline = Pipeline::Default(pieces);
+      std::unique_ptr<Pass> prune_input = MakeAdminPrunePass();
+      std::unique_ptr<Pass> prune_output = MakeAdminPrunePass();
+      // Each pass sees the plan state it sees inside the pipeline; the
+      // prune pass runs on the input (nothing to prune) and on the output
+      // (the dataflow marker to remove).
+      std::vector<Pass*> passes = {prune_input.get()};
+      for (const auto& pass : pipeline.passes()) passes.push_back(pass.get());
+      passes.push_back(prune_output.get());
+      Program p = base.value();
+      for (Pass* pass : passes) {
+        const std::string before = p.ToString();
+        auto changed = pass->Run(&p);
+        ASSERT_TRUE(changed.ok()) << q.id << " " << pass->name();
+        if (changed.value()) continue;
+        ++declined;
+        EXPECT_EQ(p.ToString(), before)
+            << q.id << " pieces=" << pieces << ": '" << pass->name()
+            << "' declined but changed the plan";
+      }
+    }
+  }
+  EXPECT_GT(declined, 0);
+}
+
+// Two registers, the large one defined first and printed last: the greedy
+// schedule hoists the small one and its print, which shrinks the peak.
+Program LargeThenSmall() {
+  Program p;
+  const MalType oids = MalType::Bat(DataType::kOid);
+  int a = p.AddVariable(oids);
+  int b = p.AddVariable(oids);
+  p.Add("bat", "densebat", {a}, {Argument::Const(Value::Int(1000))});
+  p.Add("bat", "densebat", {b}, {Argument::Const(Value::Int(10))});
+  p.Add("io", "print", {}, {Argument::Var(b)});
+  p.Add("io", "print", {}, {Argument::Var(a)});
+  return p;
+}
+
+TEST(MemoryReorderTest, RejectedReorderRestoresExactOrder) {
+  Program hoisted = LargeThenSmall();
+  const std::string original = hoisted.ToString();
+  auto fired = MakeMemoryReorderPass()->Run(&hoisted);
+  ASSERT_TRUE(fired.ok());
+  ASSERT_TRUE(fired.value());
+  ASSERT_NE(hoisted.ToString(), original);
+
+  // The same pair followed by a much larger register: the schedule still
+  // hoists the small pair, but the large register alone sets the peak
+  // either way, so the pass must reject its reordering.
+  Program p = LargeThenSmall();
+  int c = p.AddVariable(MalType::Bat(DataType::kOid));
+  p.Add("bat", "densebat", {c}, {Argument::Const(Value::Int(100000))});
+  p.Add("io", "print", {}, {Argument::Var(c)});
+  const std::string before = p.ToString();
+  auto changed = MakeMemoryReorderPass()->Run(&p);
+  ASSERT_TRUE(changed.ok());
+  EXPECT_FALSE(changed.value());
+  EXPECT_EQ(p.ToString(), before);
+}
+
+/// Declines without touching the plan.
+class DecliningPass : public Pass {
+ public:
+  const char* name() const override { return "declining"; }
+  Result<bool> Run(Program*) override { return false; }
+};
+
+TEST(PipelineTest, PipelineOfDecliningPassesStillRejectsInvalidInput) {
+  Catalog cat = TinyTpch();
+  auto base = sql::Compiler::CompileSql(&cat, tpch::GetQuery("q6").value().sql);
+  ASSERT_TRUE(base.ok());
+  Program p = std::move(base.value());
+  std::vector<mal::Instruction> reversed(p.instructions().rbegin(),
+                                         p.instructions().rend());
+  p.ReplaceInstructions(std::move(reversed));
+
+  Pipeline pipeline;
+  pipeline.Add(std::make_unique<DecliningPass>());
+  auto fired = pipeline.Run(&p);
+  ASSERT_FALSE(fired.ok());
+  const std::string msg = fired.status().message();
+  EXPECT_NE(msg.find("ssa-def-before-use"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("optimizer pipeline input"), std::string::npos) << msg;
+}
+
+int64_t AbsintRuns() {
+  auto value =
+      obs::Registry::Default()->CounterValue("stetho_absint_runs_total");
+  return value.ok() ? value.value() : 0;
+}
+
+/// One sweep for the input summary, one per plan state a pass produced
+/// (its lint and its differ summary share it), and one for memory_reorder's
+/// own memory analysis. Re-linting after every pass cost about 48 on q6.
+TEST(PipelineTest, InterpretsEachPlanStateOnce) {
+  Catalog cat = TinyTpch();
+  auto base = sql::Compiler::CompileSql(&cat, tpch::GetQuery("q6").value().sql);
+  ASSERT_TRUE(base.ok());
+  Program p = std::move(base.value());
+  const int64_t runs = AbsintRuns();
+  auto fired = Pipeline::Default(16).Run(&p);
+  ASSERT_TRUE(fired.ok()) << fired.status().ToString();
+  EXPECT_LE(AbsintRuns() - runs,
+            1 + static_cast<int64_t>(fired.value().size()) + 1);
 }
 
 }  // namespace
