@@ -1,8 +1,8 @@
 #include "analysis/absint.h"
 
-#include <algorithm>
 #include <utility>
 
+#include "common/logging.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
 
@@ -81,52 +81,6 @@ obs::Counter* RunsCounter() {
   return counter;
 }
 
-/// One forward sweep; hands every instruction's facts to `sink` as an
-/// rvalue, so a caller that keeps them does not copy and one that only
-/// looks at them frees each before the next is built.
-template <typename Sink>
-AbstractState Sweep(const Program& program, Sink&& sink) {
-  RunsCounter()->Increment();
-  AbstractState state;
-  state.vars.resize(program.num_variables());
-  // Straight-line SSA: every argument's producer precedes its use, so one
-  // forward pass in pc order is the fixpoint.
-  for (const Instruction& ins : program.instructions()) {
-    InstructionFacts facts;
-    facts.args.reserve(ins.args.size());
-    for (const Argument& a : ins.args) {
-      facts.args.push_back(ArgOperandValue(state, a));
-    }
-    facts.raw_results = EvalWithArgs(program, ins, facts.args);
-    facts.merged_results = facts.raw_results;
-    for (size_t i = 0; i < ins.results.size(); ++i) {
-      int r = ins.results[i];
-      if (r < 0 || static_cast<size_t>(r) >= state.vars.size()) continue;
-      facts.merged_results[i] =
-          MergeDeclared(facts.raw_results[i], program.variable(r));
-      state.vars[static_cast<size_t>(r)] = facts.merged_results[i];
-    }
-    sink(ins, std::move(facts));
-  }
-  return state;
-}
-
-/// Collects the sink columns of a plan into `summary`.
-InstructionVisitor SinkColumns(PlanSummary* summary) {
-  return [summary](const Instruction& ins, const InstructionFacts& facts) {
-    const KernelSignature* sig =
-        LookupKernelSignature(ins.module, ins.function);
-    bool is_sink = sig != nullptr
-                       ? sig->is_sink
-                       : LooksLikeResultSink(ins.module, ins.function);
-    if (!is_sink) return;
-    for (size_t i = 0; i < facts.args.size(); ++i) {
-      summary->columns.push_back(
-          SinkColumn{ins.pc, ins.FullName(), i, facts.args[i]});
-    }
-  };
-}
-
 }  // namespace
 
 AbstractValue ArgOperandValue(const AbstractState& state,
@@ -151,42 +105,69 @@ std::vector<AbstractValue> EvalInstruction(const Program& program,
   return EvalWithArgs(program, ins, args);
 }
 
-AbstractState AnalyzeProgram(const Program& program,
-                             const InstructionVisitor& visit) {
-  return Sweep(program, [&visit](const Instruction& ins,
-                                 InstructionFacts&& facts) {
-    if (visit) visit(ins, facts);
-  });
+ProgramFacts AnalyzeProgramFacts(const Program& program) {
+  RunsCounter()->Increment();
+  ProgramFacts out;
+  AbstractState& state = out.state;
+  state.vars.resize(program.num_variables());
+  out.instructions.reserve(program.size());
+  // Straight-line SSA: every argument's producer precedes its use, so one
+  // forward pass in pc order is the fixpoint.
+  for (const Instruction& ins : program.instructions()) {
+    InstructionFacts& facts = out.instructions.emplace_back();
+    facts.args.reserve(ins.args.size());
+    for (const Argument& a : ins.args) {
+      facts.args.push_back(ArgOperandValue(state, a));
+    }
+    facts.raw_results = EvalWithArgs(program, ins, facts.args);
+    facts.merged_results = facts.raw_results;
+    for (size_t i = 0; i < ins.results.size(); ++i) {
+      int r = ins.results[i];
+      if (r < 0 || static_cast<size_t>(r) >= state.vars.size()) continue;
+      facts.merged_results[i] =
+          MergeDeclared(facts.raw_results[i], program.variable(r));
+      state.vars[static_cast<size_t>(r)] = facts.merged_results[i];
+    }
+  }
+  return out;
 }
 
-ProgramFacts AnalyzeProgramFacts(const Program& program) {
-  ProgramFacts out;
-  out.instructions.reserve(program.size());
-  out.state = Sweep(program, [&out](const Instruction&,
-                                    InstructionFacts&& facts) {
-    out.instructions.push_back(std::move(facts));
-  });
-  return out;
+AbstractState AnalyzeProgram(const Program& program,
+                             const InstructionVisitor& visit) {
+  ProgramFacts facts = AnalyzeProgramFacts(program);
+  if (visit) VisitFacts(program, facts, visit);
+  return std::move(facts.state);
 }
 
 void VisitFacts(const Program& program, const ProgramFacts& facts,
                 const InstructionVisitor& visit) {
-  const size_t n = std::min(program.size(), facts.instructions.size());
-  for (size_t i = 0; i < n; ++i) {
+  // Facts of another plan state would pair with the wrong instructions.
+  STETHO_CHECK(facts.instructions.size() == program.size());
+  for (size_t i = 0; i < program.size(); ++i) {
     visit(program.instruction(static_cast<int>(i)), facts.instructions[i]);
   }
 }
 
 PlanSummary SummarizeObservable(const Program& program) {
-  PlanSummary summary;
-  AnalyzeProgram(program, SinkColumns(&summary));
-  return summary;
+  return SummarizeObservable(program, AnalyzeProgramFacts(program));
 }
 
 PlanSummary SummarizeObservable(const Program& program,
                                 const ProgramFacts& facts) {
   PlanSummary summary;
-  VisitFacts(program, facts, SinkColumns(&summary));
+  VisitFacts(program, facts, [&summary](const Instruction& ins,
+                                        const InstructionFacts& ins_facts) {
+    const KernelSignature* sig =
+        LookupKernelSignature(ins.module, ins.function);
+    bool is_sink = sig != nullptr
+                       ? sig->is_sink
+                       : LooksLikeResultSink(ins.module, ins.function);
+    if (!is_sink) return;
+    for (size_t i = 0; i < ins_facts.args.size(); ++i) {
+      summary.columns.push_back(
+          SinkColumn{ins.pc, ins.FullName(), i, ins_facts.args[i]});
+    }
+  });
   return summary;
 }
 

@@ -52,30 +52,31 @@ struct InstructionFacts {
 using InstructionVisitor =
     std::function<void(const mal::Instruction&, const InstructionFacts&)>;
 
-/// Runs the analysis over the whole plan, invoking `visit` (when non-null)
-/// on every instruction with its facts, and returns the final state. Every
-/// sweep, here or in AnalyzeProgramFacts, counts in
-/// `stetho_absint_runs_total`.
-AbstractState AnalyzeProgram(const mal::Program& program,
-                             const InstructionVisitor& visit = nullptr);
-
-/// One sweep's results, kept: the final state and every instruction's facts
-/// in program order (`instructions[i]` belongs to pc i). The lint checks,
-/// the memory model and the pass-equivalence differ all read one
-/// ProgramFacts per plan state (analysis::CheckContext::absint()).
+/// One sweep's results: the final state and every instruction's facts in
+/// program order (`instructions[i]` belongs to pc i). The lint checks, the
+/// memory model and the pass-equivalence differ all read one ProgramFacts
+/// per plan state (analysis::CheckContext::absint()).
 struct ProgramFacts {
   AbstractState state;
   std::vector<InstructionFacts> instructions;
 };
 
-/// Runs the analysis once and keeps every instruction's facts.
+/// Runs the analysis over the whole plan: the one abstract-interpretation
+/// sweep every entry point below goes through. Each call counts in
+/// `stetho_absint_runs_total`.
 ProgramFacts AnalyzeProgramFacts(const mal::Program& program);
 
-/// Calls `visit` on every instruction in pc order with its stored facts —
-/// the calls AnalyzeProgram(program, visit) makes, without interpreting
-/// again. `facts` must have been derived from `program` as it is now.
+/// Calls `visit` on every instruction in pc order with its stored facts.
+/// `facts` must have been derived from `program` as it is now; a count
+/// mismatch aborts (facts of another plan state would pair with the wrong
+/// instructions).
 void VisitFacts(const mal::Program& program, const ProgramFacts& facts,
                 const InstructionVisitor& visit);
+
+/// AnalyzeProgramFacts, then `visit` (when non-null) on every instruction
+/// with its facts; returns the final state.
+AbstractState AnalyzeProgram(const mal::Program& program,
+                             const InstructionVisitor& visit = nullptr);
 
 /// One observable output slot: argument `arg_index` of the result-sink
 /// instruction at `pc`. Identity across optimizer passes is positional
@@ -93,10 +94,11 @@ struct PlanSummary {
   std::vector<SinkColumn> columns;
 };
 
-PlanSummary SummarizeObservable(const mal::Program& program);
-/// The same summary read from already derived facts of `program`.
+/// The summary read from already derived facts of `program`.
 PlanSummary SummarizeObservable(const mal::Program& program,
                                 const ProgramFacts& facts);
+/// SummarizeObservable(program, AnalyzeProgramFacts(program)).
+PlanSummary SummarizeObservable(const mal::Program& program);
 
 /// Pass-equivalence test: OkStatus when `after` is a plausible rewrite of
 /// `before` (same sink columns, each column's abstract values compatible —

@@ -197,13 +197,12 @@ int64_t EstimateResultBytes(const mal::Instruction& ins,
   return bytes;
 }
 
-namespace {
+MemoryReport AnalyzeMemory(const mal::Program& program) {
+  return AnalyzeMemory(program, AnalyzeProgramFacts(program));
+}
 
-/// AnalyzeMemory over the facts `sweep` hands out: it calls its argument
-/// on every instruction in pc order with that instruction's facts.
-MemoryReport BuildMemoryReport(
-    const mal::Program& program,
-    const std::function<void(const InstructionVisitor&)>& sweep) {
+MemoryReport AnalyzeMemory(const mal::Program& program,
+                           const ProgramFacts& facts) {
   const size_t n = program.size();
   const size_t nvars = program.num_variables();
   MemoryReport report;
@@ -217,17 +216,18 @@ MemoryReport BuildMemoryReport(
   std::vector<int> last_use(nvars, -1);
   std::vector<int> consumers(nvars, 0);
 
-  // Forward absint sweep: footprint of every result register.
-  sweep(
-      [&](const mal::Instruction& ins, const InstructionFacts& facts) {
+  // Forward absint facts: footprint of every result register.
+  VisitFacts(
+      program, facts,
+      [&](const mal::Instruction& ins, const InstructionFacts& ins_facts) {
         int64_t total = 0;
         for (size_t k = 0; k < ins.results.size(); ++k) {
           int v = ins.results[k];
           if (v < 0 || static_cast<size_t>(v) >= nvars) continue;
-          const AbstractValue& val = k < facts.merged_results.size()
-                                         ? facts.merged_results[k]
+          const AbstractValue& val = k < ins_facts.merged_results.size()
+                                         ? ins_facts.merged_results[k]
                                          : AbstractValue::Top();
-          int64_t bytes = EstimateResultBytes(ins, facts.args, val);
+          int64_t bytes = EstimateResultBytes(ins, ins_facts.args, val);
           var_bytes[static_cast<size_t>(v)] = bytes;
           var_card[static_cast<size_t>(v)] =
               val.card.hi == Interval::kUnbounded ? Interval::kUnbounded
@@ -324,21 +324,6 @@ MemoryReport BuildMemoryReport(
     report.live_after[pc] = display();
   }
   return report;
-}
-
-}  // namespace
-
-MemoryReport AnalyzeMemory(const mal::Program& program) {
-  return BuildMemoryReport(program, [&](const InstructionVisitor& visit) {
-    AnalyzeProgram(program, visit);
-  });
-}
-
-MemoryReport AnalyzeMemory(const mal::Program& program,
-                           const ProgramFacts& facts) {
-  return BuildMemoryReport(program, [&](const InstructionVisitor& visit) {
-    VisitFacts(program, facts, visit);
-  });
 }
 
 int64_t ParallelPeakBound(const mal::Program& program,

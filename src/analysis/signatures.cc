@@ -692,21 +692,10 @@ const char* ValueKindName(ValueKind kind) {
 
 const KernelSignature* LookupKernelSignature(const std::string& module,
                                              const std::string& function) {
-  // Keyed module -> function, so the per-instruction lookups of the lint
-  // and the abstract interpreter build no "module.function" string.
-  using Table = std::map<std::string, std::map<std::string, KernelSignature>>;
-  static const Table& table = *[] {
-    auto* nested = new Table;
-    for (auto& [name, signature] : BuildTable()) {
-      const size_t dot = name.find('.');
-      (*nested)[name.substr(0, dot)][name.substr(dot + 1)] = signature;
-    }
-    return nested;
-  }();
-  auto by_module = table.find(module);
-  if (by_module == table.end()) return nullptr;
-  auto it = by_module->second.find(function);
-  return it != by_module->second.end() ? &it->second : nullptr;
+  static const std::map<std::string, KernelSignature>& table =
+      *new std::map<std::string, KernelSignature>(BuildTable());
+  auto it = table.find(module + "." + function);
+  return it != table.end() ? &it->second : nullptr;
 }
 
 bool LooksLikeResultSink(const std::string& module,

@@ -152,8 +152,8 @@ Result<std::vector<std::string>> Pipeline::Run(mal::Program* program) const {
     PassesFiredCounter()->Increment();
     PassFiredCounter(pass->name())->Increment();
   }
-  // The final plan is always linted: when no pass changed it, that is the
-  // input plan, which no state above has linted yet.
+  // When no pass reported a change, the final plan is the input plan,
+  // which no state above has linted yet.
   if (fired.empty()) {
     Status lint = Lint(std::move(input),
                        "optimizer pipeline input (no pass changed it) is an "

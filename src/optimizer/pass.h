@@ -39,9 +39,10 @@ class Pipeline {
   /// Runs all passes in order. Returns the names of passes that changed the
   /// program. The program is re-linted with analysis::Runner::Default() and
   /// re-checked by the pass-equivalence differ after every pass that
-  /// changed it; a pass that declined must leave the plan byte-identical,
-  /// so it is not linted again. The final plan is always linted (when no
-  /// pass changed it, that is the input plan). An error diagnostic fails
+  /// reports it changed the plan; when no pass does, the input plan is
+  /// linted. A pass that returns false is trusted to have left the plan
+  /// byte-identical (Pass::Run's contract), so the final plan is linted as
+  /// long as every pass keeps that contract. An error diagnostic fails
   /// the pipeline with a Status naming the pass (or the input), the check
   /// id, and the offending pc/variable. Each plan state is interpreted once:
   /// its lint and its differ summary share one analysis::CheckContext.

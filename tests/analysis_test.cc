@@ -9,7 +9,9 @@
 #include <string>
 #include <vector>
 
+#include "analysis/absint.h"
 #include "analysis/checks.h"
+#include "analysis/liveness.h"
 #include "analysis/runner.h"
 #include "analysis/signatures.h"
 #include "common/rng.h"
@@ -863,6 +865,21 @@ TEST_F(SeedPipelineTest, DirectProgramCheckRunsShareOneSweep) {
     return out;
   };
   EXPECT_EQ(lines(findings), lines(expected));
+}
+
+/// Facts of another plan state never pair silently with this plan's
+/// instructions: a count mismatch aborts instead of truncating.
+TEST_F(SeedPipelineTest, StaleFactsAbortInsteadOfTruncating) {
+  storage::Catalog catalog = MakeCatalog();
+  auto plan =
+      sql::Compiler::CompileSql(&catalog, tpch::GetQuery("q6").value().sql);
+  ASSERT_TRUE(plan.ok());
+  mal::Program changed = plan.value();
+  const analysis::ProgramFacts stale =
+      analysis::AnalyzeProgramFacts(plan.value());
+  changed.Add("io", "print", {}, {Argument::Const(Value::Int(1))});
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(analysis::AnalyzeMemory(changed, stale), "CHECK failed");
 }
 
 // The signature table stays in lock-step with the engine: every kernel the
