@@ -232,7 +232,7 @@ void BM_ProgressEstimatorQuery(benchmark::State& state) {
     analysis::ProgressEstimator estimator(model);
     int64_t now = 0;
     for (size_t pc = 0; pc < model->plan_size(); ++pc) {
-      estimator.OnInstructionDone(static_cast<int>(pc), 5, now += 10, 0);
+      estimator.OnInstructionDone(static_cast<int>(pc), 5, now += 10);
     }
     benchmark::DoNotOptimize(estimator.ratio());
   }
@@ -256,7 +256,7 @@ void BM_ProgressEtaHalfway(benchmark::State& state) {
   analysis::ProgressEstimator estimator(model);
   int64_t now = 0;
   for (size_t pc = 0; pc < model->plan_size() / 2; ++pc) {
-    estimator.OnInstructionDone(static_cast<int>(pc), 5, now += 10, 0);
+    estimator.OnInstructionDone(static_cast<int>(pc), 5, now += 10);
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(estimator.EtaUsec());
@@ -275,8 +275,6 @@ obs::QueryObservation MakeObservation(uint64_t shape_hash) {
     obs::PcSample sample;
     sample.pc = pc;
     sample.usec = 5 + (pc % 7) * 100;
-    sample.bytes = int64_t{1} << (pc % 20);
-    sample.concurrency = 1 + pc % 4;
     observation.pcs.push_back(sample);
   }
   return observation;

@@ -15,21 +15,26 @@ namespace {
 /// Individual findings before the rest collapse into one summary line.
 constexpr int kMaxDetailed = 8;
 
+Severity SeverityOf(const obs::Regression& r) {
+  return r.level == obs::Regression::kSevere ? Severity::kError
+                                             : Severity::kWarning;
+}
+
+std::string Detail(const obs::Regression& r) {
+  return StrFormat("median %.0fus (MAD %.0fus, %.2fx)", r.median, r.mad,
+                   r.ratio);
+}
+
 // ---------------------------------------------------------------------------
 // trace-perf-regression
 // ---------------------------------------------------------------------------
 
 /// Compares a recorded trace against the stored cross-run baseline of the
-/// same plan shape. A pc regresses when BOTH hold:
-///   - ratio: observed / median >= 1.5 (warning) or >= 2.0 (error), and
-///   - delta: observed - median >= max(4 * MAD, 10us).
-/// The AND keeps the check quiet on re-recordings of an unchanged workload:
-/// the store's bucket-center quantiles are within ~4.5%, far below the 1.5x
-/// gate, and the MAD/floor term absorbs timer jitter on microsecond-scale
-/// kernels. End-to-end makespan gets the same treatment against the
-/// total_usec distribution, so a whole-query slowdown with no single guilty
-/// pc still fires. No baseline for the shape is a note — a fresh plan shape
-/// is information, not a failure.
+/// same plan shape through obs::JudgeRegression: a slow pc is a warning, a
+/// severe one (>= 2.0x) an error. End-to-end makespan gets the same
+/// treatment against the total_usec distribution, so a whole-query slowdown
+/// with no single guilty pc still fires. No baseline for the shape is a
+/// note — a fresh plan shape is information, not a failure.
 class TracePerfRegressionCheck final : public Check {
  public:
   const char* id() const override { return "trace-perf-regression"; }
@@ -74,15 +79,12 @@ class TracePerfRegressionCheck final : public Check {
         continue;  // shape drift; the hash key normally prevents this
       }
       const obs::RobustStat& stat =
-          baseline->pcs[static_cast<size_t>(sample.pc)].usec;
-      if (stat.count() == 0) continue;
-      Severity severity;
-      std::string detail;
-      if (!Regresses(sample.usec, stat, &severity, &detail)) continue;
+          baseline->pcs[static_cast<size_t>(sample.pc)];
+      const obs::Regression r = obs::JudgeRegression(sample.usec, stat);
+      if (r.level == obs::Regression::kNone) continue;
       ++flagged;
       worst_delta =
-          std::max(worst_delta,
-                   sample.usec - static_cast<int64_t>(stat.Median()));
+          std::max(worst_delta, sample.usec - static_cast<int64_t>(r.median));
       if (flagged <= kMaxDetailed) {
         std::string stmt =
             ctx.program != nullptr &&
@@ -91,11 +93,11 @@ class TracePerfRegressionCheck final : public Check {
                       ctx.program->instruction(sample.pc))
                 : "";
         if (stmt.size() > 48) stmt = stmt.substr(0, 45) + "...";
-        emit.Emit(severity, sample.pc, -1,
+        emit.Emit(SeverityOf(r), sample.pc, -1,
                   StrFormat("instruction ran %lldus against a baseline of "
                             "%s over %lld runs%s%s",
                             static_cast<long long>(sample.usec),
-                            detail.c_str(),
+                            Detail(r).c_str(),
                             static_cast<long long>(stat.count()),
                             stmt.empty() ? "" : " — ", stmt.c_str()),
                   "a data-dependent blowup, a lost optimization, or "
@@ -117,16 +119,15 @@ class TracePerfRegressionCheck final : public Check {
     // worse, none past its own gate) — and stays silent when a single
     // injected pc already explains the drift only if the totals gate
     // independently clears.
-    if (baseline->total_usec.count() > 0 && observed.total_usec > 0) {
-      Severity severity;
-      std::string detail;
-      if (Regresses(observed.total_usec, baseline->total_usec, &severity,
-                    &detail)) {
-        emit.Emit(severity, -1, -1,
+    if (observed.total_usec > 0) {
+      const obs::Regression r =
+          obs::JudgeRegression(observed.total_usec, baseline->total_usec);
+      if (r.level != obs::Regression::kNone) {
+        emit.Emit(SeverityOf(r), -1, -1,
                   StrFormat("query makespan %lldus against a baseline of %s "
                             "over %lld runs",
                             static_cast<long long>(observed.total_usec),
-                            detail.c_str(),
+                            Detail(r).c_str(),
                             static_cast<long long>(
                                 baseline->total_usec.count())),
                   "the whole schedule slowed down; check the critical-path "
@@ -134,23 +135,6 @@ class TracePerfRegressionCheck final : public Check {
                   "for contention");
       }
     }
-  }
-
- private:
-  /// Both gates (ratio x absolute delta) as documented on the class.
-  static bool Regresses(int64_t observed_usec, const obs::RobustStat& stat,
-                        Severity* severity, std::string* detail) {
-    const double median = stat.Median();
-    const double mad = stat.Mad();
-    const double floor = std::max(4.0 * mad, 10.0);
-    const double observed = static_cast<double>(observed_usec);
-    if (observed - median < floor) return false;
-    const double ratio = observed / std::max(1.0, median);
-    if (ratio < 1.5) return false;
-    *severity = ratio >= 2.0 ? Severity::kError : Severity::kWarning;
-    *detail = StrFormat("median %.0fus (MAD %.0fus, %.2fx)", median, mad,
-                        ratio);
-    return true;
   }
 };
 

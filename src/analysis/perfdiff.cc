@@ -87,12 +87,7 @@ obs::QueryObservation ObservationFromTrace(const TraceIndex& trace) {
   for (const auto& [pc, rec] : trace.pcs()) {
     const int64_t usec = CompletedUsec(rec);
     if (usec < 0) continue;  // never completed: nothing to fold
-    obs::PcSample sample;
-    sample.pc = pc;
-    sample.usec = usec;
-    sample.bytes = std::max<int64_t>(0, rec.rss_bytes);
-    sample.concurrency = std::max(1, rec.open_at_start);
-    observation.pcs.push_back(sample);
+    observation.pcs.push_back({pc, usec});
   }
   return observation;
 }

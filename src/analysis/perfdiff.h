@@ -32,11 +32,10 @@ uint64_t PlanShapeHash(const mal::Program& program);
 uint64_t TraceShapeHash(const profiler::TraceIndex& trace);
 
 /// Folds a recorded trace into a single-query observation: per-pc duration
-/// (first done event's usec), engine live bytes at completion, observed
-/// concurrency (PcRecord::open_at_start), and the trace makespan as
-/// total_usec. shape_hash is set from TraceShapeHash; callers holding the
-/// plan should overwrite it with PlanShapeHash to key consistently with the
-/// server's fold path.
+/// (first done event's usec) and the trace makespan as total_usec.
+/// shape_hash is set from TraceShapeHash; callers holding the plan should
+/// overwrite it with PlanShapeHash to key consistently with the server's
+/// fold path.
 obs::QueryObservation ObservationFromTrace(const profiler::TraceIndex& trace);
 
 /// One matched pc in a two-trace comparison.

@@ -150,9 +150,8 @@ std::shared_ptr<const ProgressModel> ProgressModelCache::GetOrBuild(
     if (it != models_.end()) {
       ++hits_;
       CacheHitCounter()->Increment();
-      lru_.remove(key);
-      lru_.push_front(key);
-      return it->second;
+      lru_.splice(lru_.begin(), lru_, it->second.lru);
+      return it->second.model;
     }
   }
   // Build outside the lock (absint + liveness are the expensive part);
@@ -161,8 +160,9 @@ std::shared_ptr<const ProgressModel> ProgressModelCache::GetOrBuild(
   std::lock_guard<std::mutex> lock(mu_);
   ++misses_;
   CacheMissCounter()->Increment();
-  if (models_.emplace(key, model).second) {
+  if (auto [it, inserted] = models_.try_emplace(key); inserted) {
     lru_.push_front(key);
+    it->second = {model, lru_.begin()};
     while (capacity_ > 0 && lru_.size() > capacity_) {
       models_.erase(lru_.back());
       lru_.pop_back();
@@ -190,9 +190,7 @@ ProgressEstimator::ProgressEstimator(
     std::shared_ptr<const ProgressModel> model)
     : model_(std::move(model)),
       done_(model_->plan_size(), false),
-      pc_usec_(model_->plan_size(), -1),
-      pc_end_us_(model_->plan_size(), 0),
-      pc_rss_(model_->plan_size(), 0) {}
+      pc_usec_(model_->plan_size(), -1) {}
 
 double ProgressEstimator::RatioLocked() const {
   if (finished_) return 1.0;
@@ -204,7 +202,7 @@ double ProgressEstimator::RatioLocked() const {
 }
 
 void ProgressEstimator::OnInstructionDone(int pc, int64_t usec,
-                                          int64_t now_us, int64_t rss_bytes) {
+                                          int64_t now_us) {
   double published;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -214,8 +212,6 @@ void ProgressEstimator::OnInstructionDone(int pc, int64_t usec,
     }
     done_[static_cast<size_t>(pc)] = true;
     pc_usec_[static_cast<size_t>(pc)] = std::max<int64_t>(0, usec);
-    pc_end_us_[static_cast<size_t>(pc)] = now_us;
-    pc_rss_[static_cast<size_t>(pc)] = std::max<int64_t>(0, rss_bytes);
     ++done_count_;
     done_weight_ += model_->weight(pc);
     busy_usec_ += static_cast<double>(std::max<int64_t>(0, usec));
@@ -228,7 +224,7 @@ void ProgressEstimator::OnInstructionDone(int pc, int64_t usec,
 
 void ProgressEstimator::ObserveEvent(const profiler::TraceEvent& event) {
   if (event.state != profiler::EventState::kDone) return;
-  OnInstructionDone(event.pc, event.usec, event.time_us, event.rss_bytes);
+  OnInstructionDone(event.pc, event.usec, event.time_us);
 }
 
 void ProgressEstimator::MarkFinished() {
@@ -287,47 +283,10 @@ obs::QueryObservation ProgressEstimator::ToObservation(
   observation.plan_size = done_.size();
   observation.total_usec =
       first_us_ >= 0 ? std::max<int64_t>(0, newest_us_ - first_us_) : 0;
-
-  // Observed concurrency by interval sweep: each completed pc occupied
-  // (end - usec, end]; at every interval start count how many intervals are
-  // open (the starting one included). Ties break start-before-done so
-  // back-to-back completions at one timestamp read as overlapped.
-  struct Edge {
-    int64_t time_us;
-    int kind;  // 0 = start, 1 = done
-    int pc;
-  };
-  std::vector<Edge> edges;
-  for (size_t pc = 0; pc < done_.size(); ++pc) {
-    if (pc_usec_[pc] < 0) continue;
-    const int64_t end = pc_end_us_[pc];
-    edges.push_back({end - pc_usec_[pc], 0, static_cast<int>(pc)});
-    edges.push_back({end, 1, static_cast<int>(pc)});
-  }
-  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
-    if (a.time_us != b.time_us) return a.time_us < b.time_us;
-    if (a.kind != b.kind) return a.kind < b.kind;
-    return a.pc < b.pc;
-  });
-  std::vector<int> concurrency(done_.size(), 1);
-  int open = 0;
-  for (const Edge& edge : edges) {
-    if (edge.kind == 0) {
-      ++open;
-      concurrency[static_cast<size_t>(edge.pc)] = open;
-    } else {
-      open = std::max(0, open - 1);
+  for (size_t pc = 0; pc < pc_usec_.size(); ++pc) {
+    if (pc_usec_[pc] >= 0) {
+      observation.pcs.push_back({static_cast<int>(pc), pc_usec_[pc]});
     }
-  }
-
-  for (size_t pc = 0; pc < done_.size(); ++pc) {
-    if (pc_usec_[pc] < 0) continue;
-    obs::PcSample sample;
-    sample.pc = static_cast<int>(pc);
-    sample.usec = pc_usec_[pc];
-    sample.bytes = pc_rss_[pc];
-    sample.concurrency = concurrency[pc];
-    observation.pcs.push_back(sample);
   }
   return observation;
 }

@@ -79,10 +79,15 @@ class ProgressModelCache {
   static ProgressModelCache* Default();
 
  private:
+  struct Entry {
+    std::shared_ptr<const ProgressModel> model;
+    std::list<uint64_t>::iterator lru;  // this shape's place in lru_
+  };
+
   const size_t capacity_;
   mutable std::mutex mu_;
   std::list<uint64_t> lru_;  // most recent first
-  std::map<uint64_t, std::shared_ptr<const ProgressModel>> models_;
+  std::map<uint64_t, Entry> models_;
   int64_t hits_ = 0;
   int64_t misses_ = 0;
 };
@@ -103,8 +108,7 @@ class ProgressEstimator : public engine::ProgressListener {
 
   /// engine::ProgressListener — fed by the interpreter with the clock
   /// reads it already pays for its stats.
-  void OnInstructionDone(int pc, int64_t usec, int64_t now_us,
-                         int64_t rss_bytes) override;
+  void OnInstructionDone(int pc, int64_t usec, int64_t now_us) override;
 
   /// Receiver-side feed: accounts a trace event (done-state events only;
   /// start events and out-of-range pcs are ignored).
@@ -133,9 +137,8 @@ class ProgressEstimator : public engine::ProgressListener {
   std::string ScoreboardLine(const std::string& name) const;
 
   /// Everything this run contributed, packaged for the profile store:
-  /// per-pc duration/bytes plus observed concurrency (a sweep over the
-  /// recorded completion intervals). total_usec is the observed event-time
-  /// span; callers who know the true end-to-end time should overwrite it.
+  /// per-pc durations. total_usec is the observed event-time span; callers
+  /// who know the true end-to-end time should overwrite it.
   /// The estimator keeps accepting events afterwards — this is a snapshot.
   obs::QueryObservation ToObservation(uint64_t shape_hash) const;
 
@@ -148,9 +151,7 @@ class ProgressEstimator : public engine::ProgressListener {
   const std::shared_ptr<const ProgressModel> model_;
   mutable std::mutex mu_;
   std::vector<bool> done_;
-  std::vector<int64_t> pc_usec_;    // per-pc durations; -1 = unseen
-  std::vector<int64_t> pc_end_us_;  // per-pc completion event time
-  std::vector<int64_t> pc_rss_;     // per-pc live bytes at completion
+  std::vector<int64_t> pc_usec_;  // per-pc durations; -1 = unseen
   int done_count_ = 0;
   double done_weight_ = 0;
   double busy_usec_ = 0;     // sum of observed instruction durations

@@ -206,8 +206,7 @@ Status RunInstruction(RunState* state, int pc, int thread_id) {
     prof->EmitDone(pc, thread_id, t1 - t0, stat.rss_after_bytes, stmt);
   }
   if (state->options->progress != nullptr) {
-    state->options->progress->OnInstructionDone(pc, t1 - t0, t1,
-                                                stat.rss_after_bytes);
+    state->options->progress->OnInstructionDone(pc, t1 - t0, t1);
   }
 
   // Kernel-family metrics and the kernel span both reuse t0/t1 — tracing an

@@ -25,12 +25,8 @@ class WorkerPool;
 class ProgressListener {
  public:
   virtual ~ProgressListener() = default;
-  /// `pc` finished after `usec` microseconds, at clock time `now_us`, with
-  /// `rss_bytes` engine live bytes held after completion (the same figure
-  /// stamped on trace events — lets listeners fold byte baselines without
-  /// a profiler sink attached).
-  virtual void OnInstructionDone(int pc, int64_t usec, int64_t now_us,
-                                 int64_t rss_bytes) = 0;
+  /// `pc` finished after `usec` microseconds, at clock time `now_us`.
+  virtual void OnInstructionDone(int pc, int64_t usec, int64_t now_us) = 0;
 };
 
 /// Execution configuration for one query.

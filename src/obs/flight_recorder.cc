@@ -116,14 +116,18 @@ size_t FlightRingFromEnv(size_t fallback) {
   return static_cast<size_t>(v);
 }
 
+std::string FlightDirFromEnv() {
+  const char* dir = std::getenv("STETHO_FLIGHT_DIR");
+  return dir != nullptr ? dir : "";
+}
+
 FlightRecorder* FlightRecorder::Default() {
   static FlightRecorder* recorder = [] {
     const size_t ring = FlightRingFromEnv(64);
     auto* r = new FlightRecorder(Registry::Default(), Tracer::Default(),
                                  /*max_notes=*/ring,
                                  /*max_spans=*/48);
-    if (const char* dir = std::getenv("STETHO_FLIGHT_DIR");
-        dir != nullptr && dir[0] != '\0') {
+    if (const std::string dir = FlightDirFromEnv(); !dir.empty()) {
       (void)r->SetOutputDir(dir);
     }
     return r;

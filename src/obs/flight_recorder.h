@@ -98,6 +98,10 @@ class FlightRecorder {
 /// unset or malformed. Exposed for tests (Default() reads the env once).
 size_t FlightRingFromEnv(size_t fallback);
 
+/// STETHO_FLIGHT_DIR, the directory flight-recorder and slow-query
+/// postmortem bundles land in; "" when unset or empty.
+std::string FlightDirFromEnv();
+
 }  // namespace stetho::obs
 
 #endif  // STETHO_OBS_FLIGHT_RECORDER_H_

@@ -17,6 +17,12 @@ namespace {
 constexpr double kBucketsPerOctave = 8.0;
 constexpr int kMaxBucket = 512;  // 2^64 at 8/octave
 
+/// The regression gate's thresholds (see JudgeRegression).
+constexpr double kSlowRatio = 1.5;
+constexpr double kSevereRatio = 2.0;
+constexpr double kMadMultiple = 4.0;
+constexpr double kMinExcessUsec = 10.0;
+
 int BucketIndex(int64_t value) {
   if (value <= 1) return 0;
   int i = static_cast<int>(
@@ -164,6 +170,21 @@ bool RobustStat::Parse(const std::string& text, RobustStat* out) {
   return true;
 }
 
+Regression JudgeRegression(int64_t observed_usec, const RobustStat& baseline) {
+  Regression r;
+  if (baseline.count() == 0) return r;
+  r.median = baseline.Median();
+  r.mad = baseline.Mad();
+  const double observed = static_cast<double>(observed_usec);
+  r.ratio = observed / std::max(1.0, r.median);
+  if (observed - r.median < std::max(kMadMultiple * r.mad, kMinExcessUsec) ||
+      r.ratio < kSlowRatio) {
+    return r;
+  }
+  r.level = r.ratio >= kSevereRatio ? Regression::kSevere : Regression::kSlow;
+  return r;
+}
+
 void PlanProfile::Fold(const QueryObservation& observation) {
   shape_hash = observation.shape_hash;
   plan_size = std::max(plan_size, observation.plan_size);
@@ -174,10 +195,7 @@ void PlanProfile::Fold(const QueryObservation& observation) {
     if (static_cast<size_t>(sample.pc) >= pcs.size()) {
       pcs.resize(static_cast<size_t>(sample.pc) + 1);
     }
-    PcStats& stats = pcs[static_cast<size_t>(sample.pc)];
-    stats.usec.Observe(sample.usec);
-    stats.bytes.Observe(sample.bytes);
-    stats.concurrency.Observe(sample.concurrency);
+    pcs[static_cast<size_t>(sample.pc)].Observe(sample.usec);
   }
 }
 
@@ -188,9 +206,7 @@ void PlanProfile::Merge(const PlanProfile& other) {
   total_usec.Merge(other.total_usec);
   if (other.pcs.size() > pcs.size()) pcs.resize(other.pcs.size());
   for (size_t pc = 0; pc < other.pcs.size(); ++pc) {
-    pcs[pc].usec.Merge(other.pcs[pc].usec);
-    pcs[pc].bytes.Merge(other.pcs[pc].bytes);
-    pcs[pc].concurrency.Merge(other.pcs[pc].concurrency);
+    pcs[pc].Merge(other.pcs[pc]);
   }
 }
 
@@ -213,16 +229,7 @@ Status ProfileStore::Fold(const QueryObservation& observation) {
 }
 
 Status ProfileStore::FoldLocked(const QueryObservation& observation) {
-  auto it = profiles_.find(observation.shape_hash);
-  if (it == profiles_.end()) {
-    it = profiles_
-             .emplace(observation.shape_hash, std::make_unique<PlanProfile>())
-             .first;
-    lru_.push_front(observation.shape_hash);
-  } else {
-    TouchLocked(observation.shape_hash);
-  }
-  it->second->Fold(observation);
+  TouchLocked(observation.shape_hash)->Fold(observation);
   EvictLocked();
   return AppendJournalLocked(observation);
 }
@@ -232,13 +239,19 @@ std::shared_ptr<const PlanProfile> ProfileStore::Lookup(
   std::lock_guard<std::mutex> lock(mu_);
   auto it = profiles_.find(shape_hash);
   if (it == profiles_.end()) return nullptr;
-  TouchLocked(shape_hash);
-  return std::make_shared<const PlanProfile>(*it->second);
+  lru_.splice(lru_.begin(), lru_, it->second.lru);
+  return std::make_shared<const PlanProfile>(it->second.profile);
 }
 
-void ProfileStore::TouchLocked(uint64_t shape_hash) const {
-  lru_.remove(shape_hash);
-  lru_.push_front(shape_hash);
+PlanProfile* ProfileStore::TouchLocked(uint64_t shape_hash) {
+  auto [it, inserted] = profiles_.try_emplace(shape_hash);
+  if (inserted) {
+    lru_.push_front(shape_hash);
+    it->second.lru = lru_.begin();
+  } else {
+    lru_.splice(lru_.begin(), lru_, it->second.lru);
+  }
+  return &it->second.profile;
 }
 
 void ProfileStore::EvictLocked() {
@@ -259,7 +272,7 @@ Status ProfileStore::ParseLine(const std::string& line) {
   if (tokens.empty()) return Status::OK();  // blank line
   if (tokens[0] == "#") return Status::OK();  // comment
   if (tokens[0] == "q") {
-    // q <hash> <plan_size> <total_usec> [<pc>:<usec>:<bytes>:<conc>]*
+    // q <hash> <plan_size> <total_usec> [<pc>:<usec>]*
     if (tokens.size() < 4) return Status::InvalidArgument("short q record");
     QueryObservation observation;
     int64_t plan_size = 0;
@@ -270,17 +283,19 @@ Status ProfileStore::ParseLine(const std::string& line) {
     }
     observation.plan_size = static_cast<size_t>(plan_size);
     for (size_t i = 4; i < tokens.size(); ++i) {
+      // Older journals append :<bytes>:<conc>; both are checked, then
+      // dropped.
       std::vector<std::string> f = Split(tokens[i], ':');
       int64_t pc = 0;
-      int64_t conc = 0;
+      int64_t dropped = 0;
       PcSample sample;
-      if (f.size() != 4 || !ParseI64(f[0], &pc) || pc < 0 ||
-          !ParseI64(f[1], &sample.usec) || !ParseI64(f[2], &sample.bytes) ||
-          !ParseI64(f[3], &conc)) {
+      if ((f.size() != 2 && f.size() != 4) || !ParseI64(f[0], &pc) ||
+          pc < 0 || !ParseI64(f[1], &sample.usec) ||
+          (f.size() == 4 &&
+           (!ParseI64(f[2], &dropped) || !ParseI64(f[3], &dropped)))) {
         return Status::InvalidArgument("malformed pc sample");
       }
       sample.pc = static_cast<int>(pc);
-      sample.concurrency = static_cast<int>(conc);
       observation.pcs.push_back(sample);
     }
     LoadsCounter()->Increment();
@@ -292,7 +307,7 @@ Status ProfileStore::ParseLine(const std::string& line) {
     return st;
   }
   if (tokens[0] == "p") {
-    // p <hash> <plan_size> <queries> <total-stat> [<pc>=<u>/<b>/<c>]*
+    // p <hash> <plan_size> <queries> <total-stat> [<pc>=<stat>]*
     if (tokens.size() < 5) return Status::InvalidArgument("short p record");
     PlanProfile profile;
     int64_t plan_size = 0;
@@ -313,11 +328,15 @@ Status ProfileStore::ParseLine(const std::string& line) {
       if (!ParseI64(tokens[i].substr(0, eq), &pc) || pc < 0) {
         return Status::InvalidArgument("malformed pc index");
       }
+      // Older journals append /<bytes-stat>/<conc-stat>; both are
+      // checked, then dropped.
       std::vector<std::string> stats = Split(tokens[i].substr(eq + 1), '/');
-      PcStats parsed;
-      if (stats.size() != 3 || !RobustStat::Parse(stats[0], &parsed.usec) ||
-          !RobustStat::Parse(stats[1], &parsed.bytes) ||
-          !RobustStat::Parse(stats[2], &parsed.concurrency)) {
+      RobustStat parsed;
+      RobustStat dropped;
+      if ((stats.size() != 1 && stats.size() != 3) ||
+          !RobustStat::Parse(stats[0], &parsed) ||
+          (stats.size() == 3 && (!RobustStat::Parse(stats[1], &dropped) ||
+                                 !RobustStat::Parse(stats[2], &dropped)))) {
         return Status::InvalidArgument("malformed pc stats");
       }
       if (static_cast<size_t>(pc) >= profile.pcs.size()) {
@@ -326,16 +345,7 @@ Status ProfileStore::ParseLine(const std::string& line) {
       profile.pcs[static_cast<size_t>(pc)] = std::move(parsed);
     }
     LoadsCounter()->Increment();
-    auto it = profiles_.find(profile.shape_hash);
-    if (it == profiles_.end()) {
-      it = profiles_
-               .emplace(profile.shape_hash, std::make_unique<PlanProfile>())
-               .first;
-      lru_.push_front(profile.shape_hash);
-    } else {
-      TouchLocked(profile.shape_hash);
-    }
-    it->second->Merge(profile);
+    TouchLocked(profile.shape_hash)->Merge(profile);
     EvictLocked();
     return Status::OK();
   }
@@ -375,18 +385,16 @@ Status ProfileStore::SaveFile(const std::string& path) const {
     return Status::IoError("cannot write profile store '" + path + "'");
   }
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [hash, profile] : profiles_) {
+  for (const auto& [hash, entry] : profiles_) {
+    const PlanProfile& profile = entry.profile;
     std::string line = StrFormat(
         "p %016llx %zu %lld %s", static_cast<unsigned long long>(hash),
-        profile->plan_size, static_cast<long long>(profile->queries),
-        profile->total_usec.Serialize().c_str());
-    for (size_t pc = 0; pc < profile->pcs.size(); ++pc) {
-      const PcStats& stats = profile->pcs[pc];
-      if (stats.usec.count() == 0 && stats.bytes.count() == 0) continue;
-      line += StrFormat(" %zu=%s/%s/%s", pc,
-                        stats.usec.Serialize().c_str(),
-                        stats.bytes.Serialize().c_str(),
-                        stats.concurrency.Serialize().c_str());
+        profile.plan_size, static_cast<long long>(profile.queries),
+        profile.total_usec.Serialize().c_str());
+    for (size_t pc = 0; pc < profile.pcs.size(); ++pc) {
+      const RobustStat& stat = profile.pcs[pc];
+      if (stat.count() == 0) continue;
+      line += StrFormat(" %zu=%s", pc, stat.Serialize().c_str());
     }
     line += '\n';
     if (std::fputs(line.c_str(), f) == EOF) {
@@ -425,10 +433,8 @@ Status ProfileStore::AppendJournalLocked(const QueryObservation& observation) {
       static_cast<unsigned long long>(observation.shape_hash),
       observation.plan_size, static_cast<long long>(observation.total_usec));
   for (const PcSample& sample : observation.pcs) {
-    line += StrFormat(" %d:%lld:%lld:%d", sample.pc,
-                      static_cast<long long>(sample.usec),
-                      static_cast<long long>(sample.bytes),
-                      sample.concurrency);
+    line += StrFormat(" %d:%lld", sample.pc,
+                      static_cast<long long>(sample.usec));
   }
   line += '\n';
   if (std::fputs(line.c_str(), journal_) == EOF) {

@@ -17,17 +17,17 @@ namespace stetho::obs {
 /// --- Cross-run performance baselining ---
 ///
 /// The profile store folds every completed query into per-pc robust
-/// statistics keyed by the plan's shape hash (the function-name-blind
-/// content hash analysis::ProgressModelCache already uses), giving the
-/// platform a memory of past runs: the live straggler comparator, the
-/// server's slow-query log, and the trace-perf-regression lint check all
-/// read baselines from here. The store lives in obs (it depends on nothing
+/// duration statistics keyed by the plan's shape hash (the
+/// function-name-blind content hash analysis::ProgressModelCache uses),
+/// giving the platform a memory of past runs: the live straggler
+/// comparator, the server's slow-query log, and the trace-perf-regression
+/// lint check all read baselines from here. The store lives in obs (it depends on nothing
 /// but common) and speaks plain observations; extracting an observation
 /// from a plan or trace is the analysis layer's job (analysis/perfdiff.h).
 
 /// Count-weighted distribution over non-negative integer samples
-/// (microseconds, bytes, slot counts) kept as a sparse fixed-log-bucket
-/// histogram: bucket `round(8 * log2(v))` holds values within ~±4.5% of
+/// (microsecond durations) kept as a sparse fixed-log-bucket histogram:
+/// bucket `round(8 * log2(v))` holds values within ~±4.5% of
 /// `2^(i/8)`, so the structure is bounded, exactly mergeable (bucket-wise
 /// add is associative and loss-free), and deterministic regardless of fold
 /// order — the properties a streaming cross-run merge needs. Quantiles are
@@ -69,12 +69,30 @@ class RobustStat {
   std::map<int, int64_t> buckets_;  // sparse: log bucket -> observations
 };
 
-/// One instruction's measurements from a single completed query.
+/// How far one observed duration sits above a baseline distribution.
+struct Regression {
+  enum Level { kNone, kSlow, kSevere };
+  Level level = kNone;
+  double median = 0;  ///< baseline median (bucket center)
+  double mad = 0;     ///< baseline median absolute deviation
+  double ratio = 0;   ///< observed / max(1, median)
+};
+
+/// The one duration gate every baseline consumer shares (the
+/// trace-perf-regression lint check and the live straggler sweep). A
+/// duration regresses when BOTH hold:
+///   - ratio: observed >= 1.5x the median (kSlow) or >= 2.0x (kSevere), and
+///   - excess: observed - median >= max(4 * MAD, 10us).
+/// The AND keeps re-recordings of an unchanged workload quiet: bucket-center
+/// quantiles are within ~4.5%, far below 1.5x, and the MAD/floor term
+/// absorbs timer jitter on microsecond-scale kernels. An empty baseline
+/// judges nothing.
+Regression JudgeRegression(int64_t observed_usec, const RobustStat& baseline);
+
+/// One instruction's duration from a single completed query.
 struct PcSample {
   int pc = 0;
-  int64_t usec = 0;      ///< instruction duration
-  int64_t bytes = 0;     ///< engine live bytes after completion (0 = unknown)
-  int concurrency = 1;   ///< instructions in flight when this one started
+  int64_t usec = 0;
 };
 
 /// Everything one completed query contributes to the store.
@@ -85,20 +103,13 @@ struct QueryObservation {
   std::vector<PcSample> pcs;
 };
 
-/// Per-pc robust statistics for one plan shape.
-struct PcStats {
-  RobustStat usec;
-  RobustStat bytes;
-  RobustStat concurrency;
-};
-
 /// The folded baseline for one plan shape across every observed run.
 struct PlanProfile {
   uint64_t shape_hash = 0;
   size_t plan_size = 0;
   int64_t queries = 0;      ///< observations folded in
   RobustStat total_usec;    ///< end-to-end distribution
-  std::vector<PcStats> pcs;  ///< indexed by pc
+  std::vector<RobustStat> pcs;  ///< per-pc duration, indexed by pc
 
   void Fold(const QueryObservation& observation);
   void Merge(const PlanProfile& other);
@@ -118,6 +129,13 @@ struct ProfileStoreOptions {
 /// loading replays the journal (tolerating corrupt lines) and rewrites it
 /// compacted to one aggregate record per shape. Thread-safe; deterministic
 /// — no clocks, no randomness, output sorted by shape hash.
+///
+/// Journal records, one per line:
+///   q <hash> <plan_size> <total_usec> [<pc>:<usec>]*
+///   p <hash> <plan_size> <queries> <total-stat> [<pc>=<stat>]*
+/// Older journals also carried live bytes and concurrency per pc
+/// (`<pc>:<usec>:<bytes>:<conc>` and `<pc>=<u>/<b>/<c>`); they still load,
+/// and the two extra fields are dropped.
 ///
 /// Metrics: stetho_profile_store_{queries,loads,evictions}_total and
 /// stetho_profile_store_corrupt_lines_total.
@@ -158,15 +176,22 @@ class ProfileStore {
   static ProfileStore* Default();
 
  private:
+  struct Entry {
+    PlanProfile profile;
+    std::list<uint64_t>::iterator lru;  // this shape's place in lru_
+  };
+
   Status FoldLocked(const QueryObservation& observation);
-  void TouchLocked(uint64_t shape_hash) const;
+  /// The shape's profile, created empty when unknown; either way it becomes
+  /// the most recently touched. Call EvictLocked() after filling it.
+  PlanProfile* TouchLocked(uint64_t shape_hash);
   void EvictLocked();
   Status ParseLine(const std::string& line);
   Status AppendJournalLocked(const QueryObservation& observation);
 
   const size_t capacity_;
   mutable std::mutex mu_;
-  std::map<uint64_t, std::unique_ptr<PlanProfile>> profiles_;
+  std::map<uint64_t, Entry> profiles_;
   mutable std::list<uint64_t> lru_;  // most recently touched first
   std::string journal_path_;         // "" = in-memory only
   std::FILE* journal_ = nullptr;

@@ -27,8 +27,7 @@ TraceIndex::TraceIndex(const std::vector<TraceEvent>& events)
     if (e.state == EventState::kStart) {
       if (rec.starts++ > 0) continue;
       rec.start = end;
-      rec.open_at_start = ++open;
-      peak_concurrency_ = std::max(peak_concurrency_, open);
+      peak_concurrency_ = std::max(peak_concurrency_, ++open);
     } else {
       if (rec.dones++ > 0) continue;
       rec.done = end;

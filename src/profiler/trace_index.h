@@ -33,9 +33,6 @@ struct PcRecord {
   std::string_view stmt;   ///< first non-empty statement text
   /// A done event arrived before any start of this pc (or with none).
   bool done_before_start = false;
-  /// Pcs started and not yet done, this one included, when its first start
-  /// was emitted; 0 when it never started.
-  int open_at_start = 0;
 };
 
 /// The shared offline view of one recorded trace: events in emission order
@@ -66,9 +63,9 @@ class TraceIndex {
   int64_t first_time_us() const { return first_time_us_; }
   int64_t last_time_us() const { return last_time_us_; }
 
-  /// Peak of PcRecord::open_at_start: the most pcs simultaneously between
-  /// their first start and first done in emission order. Emission order has
-  /// no ties; a done emitted before the next start does not overlap it.
+  /// The most pcs simultaneously between their first start and first done
+  /// in emission order. Emission order has no ties; a done emitted before
+  /// the next start does not overlap it.
   int peak_concurrency() const { return peak_concurrency_; }
 
  private:

@@ -161,18 +161,6 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
   // algorithm, and push color changes through the render-paced EDT.
   std::map<int, viz::Color> applied;
   std::set<int> straggler_flagged;
-  // Both straggler gates (ratio x absolute delta), mirroring the
-  // trace-perf-regression lint check so live and offline agree.
-  auto is_straggler = [this](int64_t usec, const obs::RobustStat& stat) {
-    if (stat.count() == 0) return false;
-    const double median = stat.Median();
-    const double floor =
-        std::max(options_.straggler_mad_k * stat.Mad(),
-                 static_cast<double>(options_.straggler_min_usec));
-    if (static_cast<double>(usec) - median < floor) return false;
-    return static_cast<double>(usec) >=
-           options_.straggler_ratio * std::max(1.0, median);
-  };
   auto sweep_stragglers = [&] {
     if (baseline == nullptr) return;
     std::map<int, int64_t> starts;
@@ -185,7 +173,7 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
     for (size_t pc = 0; pc < baseline->pcs.size(); ++pc) {
       const int ipc = static_cast<int>(pc);
       if (straggler_flagged.count(ipc) > 0) continue;
-      const obs::RobustStat& stat = baseline->pcs[pc].usec;
+      const obs::RobustStat& stat = baseline->pcs[pc];
       const int64_t done_usec = estimator.PcUsec(ipc);
       const bool completed = done_usec >= 0;
       int64_t usec = done_usec;
@@ -194,9 +182,11 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
         if (it == starts.end()) continue;  // not started (or start lost)
         usec = now_us - it->second;
       }
-      if (!is_straggler(usec, stat)) continue;
+      // The trace-perf-regression gate, so live and offline agree.
+      const obs::Regression r = obs::JudgeRegression(usec, stat);
+      if (r.level == obs::Regression::kNone) continue;
       straggler_flagged.insert(ipc);
-      report.stragglers.push_back({ipc, usec, stat.Median(), completed});
+      report.stragglers.push_back({ipc, usec, r.median, completed});
       // Deviation overlay: the fill stays with the pair-sequence state
       // machine; the stroke says "slow against history".
       int glyph = scene_->space()->ShapeFor(NodeForPc(ipc));

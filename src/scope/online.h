@@ -53,16 +53,12 @@ struct OnlineOptions {
   /// process-wide obs::ProfileStore::Default()). When the monitored plan's
   /// shape has a stored profile, every analysis round compares each
   /// instruction's completed — or still-running — duration against the
-  /// baseline and flags stragglers: the glyph gets a magenta deviation
-  /// stroke, the status line appends "stragglers:N", and
+  /// baseline and flags stragglers: a pc is one when obs::JudgeRegression
+  /// (the trace-perf-regression lint gate: >= 1.5x the median AND at least
+  /// max(4 x MAD, 10us) above it) finds it slow. The glyph gets a magenta
+  /// deviation stroke, the status line appends "stragglers:N", and
   /// OnlineReport::stragglers records the flags.
   obs::ProfileStore* profile = nullptr;
-  /// A pc is a straggler when its duration is at least `straggler_ratio` x
-  /// the baseline median AND exceeds it by max(straggler_mad_k x MAD,
-  /// straggler_min_usec). Mirrors the trace-perf-regression lint gates.
-  double straggler_ratio = 1.5;
-  double straggler_mad_k = 4.0;
-  int64_t straggler_min_usec = 10;
 };
 
 /// One instruction flagged by the live straggler comparator.

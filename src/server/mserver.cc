@@ -4,8 +4,6 @@
 #include <chrono>
 #include <thread>
 
-#include <cstdlib>
-
 #include "analysis/liveness.h"
 #include "analysis/perfdiff.h"
 #include "common/string_util.h"
@@ -70,6 +68,10 @@ obs::Counter* SlowQueriesCounter() {
 /// queries' start/done pairs without unbounded growth.
 constexpr size_t kPostmortemRingCapacity = 4096;
 
+/// A completed query is slow when its end-to-end time is at least this
+/// multiple of its shape's profiled median from runs folded before it.
+constexpr double kSlowQueryFactor = 3.0;
+
 }  // namespace
 
 Mserver::Mserver(storage::Catalog catalog, const MserverOptions& options)
@@ -81,11 +83,8 @@ Mserver::Mserver(storage::Catalog catalog, const MserverOptions& options)
   // Slow-query postmortems: resolve the flight directory and, when one is
   // configured, keep a ring of recent profiler events so a bundle can show
   // what the engine was doing around the slow run.
-  flight_dir_ = options_.flight_dir;
-  if (flight_dir_.empty()) {
-    const char* env = std::getenv("STETHO_FLIGHT_DIR");
-    if (env != nullptr) flight_dir_ = env;
-  }
+  flight_dir_ = options_.flight_dir.empty() ? obs::FlightDirFromEnv()
+                                             : options_.flight_dir;
   if (!flight_dir_.empty()) {
     postmortem_ring_ =
         std::make_shared<profiler::RingBufferSink>(kPostmortemRingCapacity);
@@ -245,15 +244,12 @@ void Mserver::RecordQueryProfile(const QueryOutcome& outcome,
   observation.total_usec = outcome.result.total_usec;  // true end-to-end
   (void)store->Fold(observation);
 
-  if (options_.slow_query_factor <= 0 || baseline == nullptr ||
-      baseline->total_usec.count() == 0) {
-    return;
-  }
+  if (baseline == nullptr || baseline->total_usec.count() == 0) return;
   const double median = baseline->total_usec.Median();
   if (median < 1.0) return;
   const double ratio =
       static_cast<double>(outcome.result.total_usec) / median;
-  if (ratio < options_.slow_query_factor) return;
+  if (ratio < kSlowQueryFactor) return;
   SlowQueriesCounter()->Increment();
   if (flight_dir_.empty()) return;
 
@@ -273,7 +269,7 @@ void Mserver::RecordQueryProfile(const QueryOutcome& outcome,
       outcome.name.c_str(), outcome.sql.c_str(),
       static_cast<long long>(outcome.result.total_usec), median,
       static_cast<long long>(baseline->total_usec.count()), ratio,
-      options_.slow_query_factor);
+      kSlowQueryFactor);
   bundle += program.ToString();
   bundle += "\n== recent trace events (ring snapshot, oldest first) ==\n";
   if (postmortem_ring_ != nullptr) {

@@ -45,15 +45,12 @@ struct MserverOptions {
   /// Cross-run profile store every completed query folds into (per-pc
   /// robust baselines keyed by plan-shape hash); nullptr = the
   /// process-wide obs::ProfileStore::Default(), which persists under
-  /// STETHO_PROFILE_DIR when set.
-  obs::ProfileStore* profile_store = nullptr;
-  /// Slow-query gate: a completed query whose end-to-end time exceeds this
-  /// multiple of its shape's profiled median (from runs folded *before*
+  /// STETHO_PROFILE_DIR when set. A completed query whose end-to-end time
+  /// is at least 3x its shape's profiled median (from runs folded *before*
   /// this one) is counted in stetho_slow_queries_total and, when a flight
   /// directory is configured, gets a postmortem bundle (plan + recent
-  /// trace events + flight-recorder spans + metrics snapshot). <= 0
-  /// disables the gate.
-  double slow_query_factor = 3.0;
+  /// trace events + flight-recorder spans + metrics snapshot).
+  obs::ProfileStore* profile_store = nullptr;
   /// Directory receiving slow-query postmortem bundles
   /// ("" = the STETHO_FLIGHT_DIR environment variable; if that is unset
   /// too, no bundles are written). Configuring a directory also attaches a
@@ -134,8 +131,8 @@ class Mserver {
   obs::ProfileStore* profile_store() const;
 
   /// Post-run bookkeeping: folds the finished query into the profile store
-  /// and, when its end-to-end time blows past the pre-fold baseline median
-  /// by options_.slow_query_factor, logs it and emits a postmortem bundle.
+  /// and, when its end-to-end time is at least 3x the pre-fold baseline
+  /// median, logs it and emits a postmortem bundle.
   void RecordQueryProfile(const QueryOutcome& outcome,
                           const mal::Program& program,
                           const analysis::ProgressEstimator& estimator);

@@ -828,6 +828,18 @@ TEST(FlightRecorderTest, FlightRingFromEnvParsesAndFallsBack) {
   if (saved != nullptr) ::setenv("STETHO_FLIGHT_RING", restore.c_str(), 1);
 }
 
+TEST(FlightRecorderTest, FlightDirFromEnvIsEmptyWhenUnsetOrEmpty) {
+  const char* saved = std::getenv("STETHO_FLIGHT_DIR");
+  const std::string restore = saved == nullptr ? "" : saved;
+  ::setenv("STETHO_FLIGHT_DIR", "/var/flight", 1);
+  EXPECT_EQ(FlightDirFromEnv(), "/var/flight");
+  ::setenv("STETHO_FLIGHT_DIR", "", 1);
+  EXPECT_EQ(FlightDirFromEnv(), "");
+  ::unsetenv("STETHO_FLIGHT_DIR");
+  EXPECT_EQ(FlightDirFromEnv(), "");
+  if (saved != nullptr) ::setenv("STETHO_FLIGHT_DIR", restore.c_str(), 1);
+}
+
 TEST(MetricsAuditTest, FlagsEveryNamingRuleViolation) {
   Registry reg;
   reg.GetOrCreateCounter("stetho_events", "counter missing _total");
@@ -884,7 +896,7 @@ TEST(MetricsAuditTest, DefaultRegistryCatalogIsClean) {
     QueryObservation observation;
     observation.shape_hash = 0x1;
     observation.plan_size = 1;
-    observation.pcs.push_back({0, 5, 0, 1});
+    observation.pcs.push_back({0, 5});
     ASSERT_TRUE(store.Fold(observation).ok());
     observation.shape_hash = 0x2;
     ASSERT_TRUE(store.Fold(observation).ok());  // evicts shape 0x1

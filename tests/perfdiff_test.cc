@@ -14,6 +14,7 @@
 #include "mal/parser.h"
 #include "obs/profile_store.h"
 #include "scope/trace.h"
+#include "scratch_dir.h"
 
 namespace stetho::analysis {
 namespace {
@@ -23,6 +24,7 @@ using obs::PlanProfile;
 using obs::ProfileStore;
 using obs::ProfileStoreOptions;
 using obs::QueryObservation;
+using obs::Regression;
 using obs::RobustStat;
 using profiler::EventState;
 using profiler::TraceEvent;
@@ -34,6 +36,12 @@ std::string ExamplePath(const char* name) {
 
 std::string TempPath(const char* name) {
   return ::testing::TempDir() + name;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
 }
 
 /// A deterministic synthetic observation: `plan_size` pcs with durations
@@ -48,8 +56,6 @@ QueryObservation MakeObservation(uint64_t shape_hash, size_t plan_size,
     PcSample sample;
     sample.pc = static_cast<int>(pc);
     sample.usec = usec_scale * static_cast<int64_t>(1 + pc % 7);
-    sample.bytes = static_cast<int64_t>(1) << (pc % 16);
-    sample.concurrency = static_cast<int>(1 + pc % 4);
     observation.pcs.push_back(sample);
   }
   return observation;
@@ -106,6 +112,50 @@ TEST(RobustStatTest, SerializeParseRoundTrip) {
   EXPECT_FALSE(RobustStat::Parse("1,2,3", &garbage));
 }
 
+// --- JudgeRegression ------------------------------------------------------
+
+RobustStat StatOf(std::initializer_list<int64_t> values) {
+  RobustStat stat;
+  for (int64_t v : values) stat.Observe(v);
+  return stat;
+}
+
+TEST(RegressionGateTest, BoundaryTable) {
+  // Powers of two sit exactly on a bucket center, so the medians are exact.
+  const RobustStat flat = StatOf({1024, 1024, 1024});  // median 1024, MAD 0
+  const RobustStat small = StatOf({16, 16, 16});       // median 16, MAD 0
+  // median 1024, MAD 512: the excess floor is 4 * 512 = 2048us.
+  const RobustStat spread = StatOf({512, 1024, 2048});
+  struct Row {
+    int64_t observed;
+    const RobustStat* baseline;
+    Regression::Level want;
+  };
+  const Row rows[] = {
+      {1535, &flat, Regression::kNone},    // just under 1.5x
+      {1536, &flat, Regression::kSlow},    // at 1.5x
+      {2047, &flat, Regression::kSlow},    // just under 2.0x
+      {2048, &flat, Regression::kSevere},  // at 2.0x
+      {25, &small, Regression::kNone},     // 1.56x, excess 9us < 10us
+      {26, &small, Regression::kSlow},     // 1.63x, excess 10us
+      {32, &small, Regression::kSevere},   // 2.0x, excess 16us
+      {3071, &spread, Regression::kNone},  // 3.0x, excess just under 4*MAD
+      {3072, &spread, Regression::kSevere},
+  };
+  for (const Row& row : rows) {
+    const Regression r = obs::JudgeRegression(row.observed, *row.baseline);
+    EXPECT_EQ(r.level, row.want) << row.observed;
+    EXPECT_DOUBLE_EQ(r.median, row.baseline->Median()) << row.observed;
+    EXPECT_DOUBLE_EQ(r.mad, row.baseline->Mad()) << row.observed;
+    EXPECT_DOUBLE_EQ(r.ratio, static_cast<double>(row.observed) / r.median)
+        << row.observed;
+  }
+  EXPECT_DOUBLE_EQ(spread.Mad(), 512.0);
+  // An empty baseline judges nothing, however slow the sample.
+  EXPECT_EQ(obs::JudgeRegression(1'000'000, RobustStat()).level,
+            Regression::kNone);
+}
+
 // --- ProfileStore ---------------------------------------------------------
 
 TEST(ProfileStoreTest, FoldThenLookup) {
@@ -119,7 +169,7 @@ TEST(ProfileStoreTest, FoldThenLookup) {
   EXPECT_EQ(profile->queries, 2);
   EXPECT_EQ(profile->plan_size, 8u);
   ASSERT_EQ(profile->pcs.size(), 8u);
-  EXPECT_EQ(profile->pcs[0].usec.count(), 2);
+  EXPECT_EQ(profile->pcs[0].count(), 2);
   EXPECT_EQ(profile->total_usec.count(), 2);
 
   EXPECT_EQ(store.Lookup(0x1234), nullptr);
@@ -147,10 +197,7 @@ TEST(ProfileStoreTest, SaveLoadRoundTrip) {
   EXPECT_EQ(restored->total_usec, original->total_usec);
   ASSERT_EQ(restored->pcs.size(), original->pcs.size());
   for (size_t pc = 0; pc < restored->pcs.size(); ++pc) {
-    EXPECT_EQ(restored->pcs[pc].usec, original->pcs[pc].usec) << pc;
-    EXPECT_EQ(restored->pcs[pc].bytes, original->pcs[pc].bytes) << pc;
-    EXPECT_EQ(restored->pcs[pc].concurrency, original->pcs[pc].concurrency)
-        << pc;
+    EXPECT_EQ(restored->pcs[pc], original->pcs[pc]) << pc;
   }
   std::remove(path.c_str());
 }
@@ -223,6 +270,69 @@ TEST(ProfileStoreTest, CorruptLinesAreCountedNotFatal) {
   ProfileStore missing;
   EXPECT_FALSE(missing.LoadFile(TempPath("does_not_exist.profile")).ok());
   std::remove(path.c_str());
+}
+
+TEST(ProfileStoreTest, LoadsOlderRecordsWithBytesAndConcurrency) {
+  // Records in the older per-pc format, which also carried live bytes and
+  // concurrency: a p record cut from the original examples/c4_q1.profile
+  // (pcs 0 and 2) and one q record.
+  const ScratchDir scratch("perfdiff_old_format");
+  ASSERT_FALSE(scratch.path().empty());
+  const std::string path = scratch.path() + "/old.profile";
+  {
+    std::ofstream out(path);
+    out << "p c873398ffe1e436f 194 1 1,19982,19982,19982,114:1 "
+           "0=1,1,1,1,0:1/1,0,0,0,0:1/1,1,1,1,0:1 "
+           "2=1,280,280,280,65:1/1,8635055,8635055,8635055,184:1/"
+           "1,1,1,1,0:1\n";
+    out << "q c873398ffe1e436f 194 20000 0:3:0:1 2:290:8635055:2\n";
+  }
+  ProfileStore store;
+  ASSERT_TRUE(store.LoadFile(path).ok());
+  EXPECT_EQ(store.corrupt_lines(), 0);
+  auto profile = store.Lookup(0xc873398ffe1e436fULL);
+  ASSERT_NE(profile, nullptr);
+  EXPECT_EQ(profile->queries, 2);
+  EXPECT_EQ(profile->plan_size, 194u);
+  EXPECT_EQ(profile->total_usec, StatOf({19982, 20000}));
+  ASSERT_EQ(profile->pcs.size(), 3u);
+  EXPECT_EQ(profile->pcs[0], StatOf({1, 3}));
+  EXPECT_EQ(profile->pcs[1].count(), 0);
+  EXPECT_EQ(profile->pcs[2], StatOf({280, 290}));
+
+  // The dropped fields are still checked: a malformed one marks the line
+  // corrupt, as it always did.
+  {
+    std::ofstream out(path);
+    out << "q 0000000000000066 1 10 0:3:x:1\n";
+    out << "p 0000000000000066 1 1 1,10,10,10,27:1 0=1,3,3,3,13:1/bad/"
+           "1,1,1,1,0:1\n";
+  }
+  ProfileStore malformed;
+  ASSERT_TRUE(malformed.LoadFile(path).ok());
+  EXPECT_EQ(malformed.corrupt_lines(), 2);
+  EXPECT_EQ(malformed.size(), 0u);
+}
+
+TEST(ProfileStoreTest, WritesDurationOnlyRecords) {
+  const ScratchDir scratch("perfdiff_duration_only");
+  ASSERT_FALSE(scratch.path().empty());
+  QueryObservation observation;
+  observation.shape_hash = 0x55;
+  observation.plan_size = 2;
+  observation.total_usec = 100;
+  observation.pcs = {{0, 7}, {1, 9}};
+  {
+    ProfileStore store;
+    ASSERT_TRUE(store.OpenDir(scratch.path()).ok());
+    ASSERT_TRUE(store.Fold(observation).ok());
+    ASSERT_TRUE(store.SaveFile(scratch.path() + "/saved.profile").ok());
+  }
+  EXPECT_EQ(ReadFile(scratch.path() + "/profile.journal"),
+            "q 0000000000000055 2 100 0:7 1:9\n");
+  EXPECT_EQ(ReadFile(scratch.path() + "/saved.profile"),
+            "p 0000000000000055 2 1 1,100,100,100,53:1 0=1,7,7,7,22:1 "
+            "1=1,9,9,9,25:1\n");
 }
 
 TEST(ProfileStoreTest, CapacityEvictsLeastRecentlyTouched) {
@@ -313,7 +423,6 @@ TEST_F(PerfdiffExampleTest, ObservationFromTraceCoversEveryPc) {
   EXPECT_GT(observation.total_usec, 0);
   for (const PcSample& sample : observation.pcs) {
     EXPECT_GE(sample.usec, 0);
-    EXPECT_GE(sample.concurrency, 1);
   }
 }
 

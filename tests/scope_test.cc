@@ -1044,8 +1044,9 @@ TEST(OnlineMonitorTest, FlagsStragglersAgainstStoredBaseline) {
     EXPECT_GE(flag.pc, 0);
     EXPECT_LT(flag.pc, static_cast<int>(r.outcome.plan.size()));
     // Every flag cleared both gates against the near-zero baseline (a 0us
-    // sample sits in the v<=1 log bucket, so its median reads as 1).
-    EXPECT_GE(flag.usec, options.straggler_min_usec);
+    // sample sits in the v<=1 log bucket, so its median reads as 1; the
+    // excess gate's floor is 10us).
+    EXPECT_GE(flag.usec, 10);
     EXPECT_LE(flag.baseline_median, 1.0);
     // One flag per pc, never re-reported.
     EXPECT_TRUE(flagged_pcs.insert(flag.pc).second) << flag.pc;

@@ -269,7 +269,6 @@ TEST(MserverProfileTest, SlowQueryLogsAndEmitsPostmortem) {
   MserverOptions options;
   options.dop = 2;
   options.profile_store = &store;
-  options.slow_query_factor = 3.0;
   options.flight_dir = dir;
   Mserver server(TinyCatalog(), options);
 
